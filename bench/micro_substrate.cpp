@@ -273,6 +273,43 @@ void BM_KnowledgeSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeSerialize);
 
+/// The emulator's per-sync knowledge traffic on epidemic-shaped
+/// knowledge: 30 authors whose in-filter events have folded into the
+/// prefix, plus 330 pinned relay extras scattered above it. Each
+/// iteration copies it (as make_request and build_batch do), encodes
+/// and decodes it, and asks knows() once per relayed event and once
+/// per absent one — the build_batch candidate scan.
+void BM_KnowledgeRelayRoundTrip(benchmark::State& state) {
+  constexpr std::uint64_t kAuthors = 30;
+  Knowledge knowledge;
+  for (std::uint64_t a = 1; a <= kAuthors; ++a)
+    knowledge.add_authored_prefix(ReplicaId(a), 4);
+  Rng rng(11);
+  std::vector<Version> queries;
+  while (knowledge.universal().extras_count() < 330) {
+    const Version v{ReplicaId(1 + rng.below(kAuthors)), 6 + rng.below(60),
+                    1};
+    if (knowledge.universal().contains(v)) continue;
+    knowledge.add_exact_pinned(v);
+    queries.push_back(v);
+    queries.push_back(Version{v.author, v.counter + 100, 1});  // absent
+  }
+  const Item probe(ItemId(1), Version{ReplicaId(1), 1, 1}, to(1), {});
+  for (auto _ : state) {
+    const Knowledge copy = knowledge;
+    ByteWriter writer;
+    copy.serialize(writer);
+    ByteReader reader(writer.bytes());
+    const Knowledge decoded = Knowledge::deserialize(reader);
+    std::size_t known = 0;
+    for (const Version& v : queries) known += decoded.knows(probe, v);
+    benchmark::DoNotOptimize(known);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(queries.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_KnowledgeRelayRoundTrip);
+
 void BM_FilterMatch(benchmark::State& state) {
   std::set<HostId> addrs;
   for (std::uint64_t i = 0; i < 32; ++i) addrs.insert(HostId(i * 3));

@@ -525,8 +525,11 @@ void Durability::note_delivered(ItemId id) {
     throw ReadOnlyError("durability layer for " + wal_.file() +
                         " is degraded");
   }
-  if (!delivered_.insert(id).second) return;  // already on record
+  if (delivered_.count(id) > 0) return;  // already on record
+  // Write-ahead like every other hook: a roll pending in log() snapshots
+  // delivered_, so the id may join it only once its record is durable.
   log(encode_delivered(id));
+  delivered_.insert(id);
 }
 
 DurabilityCounters Durability::counters() const {

@@ -6,6 +6,20 @@
 
 namespace pfrdtn::repl {
 
+ItemStore::ItemStore(const ItemStore& other)
+    : config_(other.config_),
+      entries_(other.entries_),
+      next_seq_(other.next_seq_) {
+  for (auto& [id, entry] : entries_)
+    order_.emplace(entry.arrival_seq, &entry);
+  for (const auto& [seq, entry] : order_) index(*entry);
+}
+
+ItemStore& ItemStore::operator=(const ItemStore& other) {
+  if (this != &other) *this = ItemStore(other);
+  return *this;
+}
+
 void ItemStore::index(const Entry& entry) {
   if (!entry.in_filter) ++relay_count_;
   if (entry.evictable())
@@ -39,7 +53,7 @@ std::vector<Item> ItemStore::put(Item item, bool in_filter,
   entry.in_filter = in_filter;
   entry.local_origin = entry.local_origin || local_origin;
   entry.arrival_seq = next_seq_++;
-  order_.emplace(entry.arrival_seq, id);
+  order_.emplace(entry.arrival_seq, &entry);
   index(entry);
   return enforce_capacity();
 }
@@ -91,8 +105,8 @@ std::vector<Item> ItemStore::refilter(
   // API (newly matching items surface as deliveries), and hash-map
   // order would diverge between identically-seeded replicas.
   std::vector<Item> newly_matching;
-  for (const auto& [seq, id] : order_) {
-    Entry& entry = entries_.at(id);
+  for (const auto& [seq, stored] : order_) {
+    Entry& entry = *stored;
     const bool now = matches(entry.item);
     if (now == entry.in_filter) continue;
     unindex(entry);
@@ -122,15 +136,13 @@ std::vector<Item> ItemStore::enforce_capacity() {
 
 void ItemStore::for_each(
     const std::function<void(const Entry&)>& fn) const {
-  for (const auto& [seq, id] : order_) fn(entries_.at(id));
+  for (const auto& [seq, entry] : order_) fn(*entry);
 }
 
 void ItemStore::for_each_transient(
     const std::function<void(const Entry&, TransientView)>& fn) {
-  for (const auto& [seq, id] : order_) {
-    Entry& entry = entries_.at(id);
-    fn(entry, TransientView(entry.item));
-  }
+  for (const auto& [seq, entry] : order_)
+    fn(*entry, TransientView(entry->item));
 }
 
 bool ItemStore::for_filter_matches(
@@ -161,9 +173,8 @@ bool ItemStore::for_filter_matches(
     return true;
   }
   // General filters: arrival-order scan with per-entry evaluation.
-  for (const auto& [seq, id] : order_) {
-    const Entry& entry = entries_.at(id);
-    if (filter.matches(entry.item) && !fn(entry)) break;
+  for (const auto& [seq, entry] : order_) {
+    if (filter.matches(entry->item) && !fn(*entry)) break;
   }
   return false;
 }
@@ -180,7 +191,7 @@ void ItemStore::restore_entry(Item item, bool in_filter,
   entry.in_filter = in_filter;
   entry.local_origin = local_origin;
   entry.arrival_seq = arrival_seq;
-  order_.emplace(arrival_seq, id);
+  order_.emplace(arrival_seq, &entry);
   index(entry);
   if (next_seq_ <= arrival_seq) next_seq_ = arrival_seq + 1;
 }

@@ -67,6 +67,14 @@ class ItemStore {
   ItemStore() = default;
   explicit ItemStore(Config config) : config_(config) {}
 
+  /// A copy rebuilds every index over its own entries: the indexes
+  /// hold entry pointers, which must never point into the source.
+  /// Moves keep the entry nodes, so the indexes stay valid.
+  ItemStore(const ItemStore& other);
+  ItemStore& operator=(const ItemStore& other);
+  ItemStore(ItemStore&&) = default;
+  ItemStore& operator=(ItemStore&&) = default;
+
   /// Insert or replace an entry. If the relay store exceeds capacity
   /// afterwards, victims are evicted and returned (never the
   /// just-inserted entry under FIFO unless capacity is zero).
@@ -180,8 +188,10 @@ class ItemStore {
   Config config_;
   std::unordered_map<ItemId, Entry> entries_;
   /// Arrival-ordered index over entries_ (FIFO order, deterministic
-  /// iteration without per-call sorting).
-  std::map<std::uint64_t, ItemId> order_;
+  /// iteration without per-call sorting). It holds stable Entry
+  /// pointers (entries_ is node-based), so scans in arrival order
+  /// never hash an id.
+  std::map<std::uint64_t, Entry*> order_;
   /// Arrival-ordered index over just the evictable entries: victim
   /// selection reads begin()/rbegin() instead of scanning order_.
   std::map<std::uint64_t, ItemId> evictable_order_;

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "util/byte_buffer.hpp"
@@ -110,6 +109,12 @@ class VersionVector {
 /// them, so they remain individually removable. Replicas pin the events
 /// of relay (out-of-filter) item copies, which may be evicted later and
 /// must then become re-receivable (see knowledge.hpp / DESIGN.md).
+///
+/// Layout: the extras live in one author-sorted vector of per-author
+/// groups, each holding two ascending, duplicate-free counter vectors
+/// (plain and pinned, disjoint). Membership is a binary search, a copy
+/// is one allocation per author, and the codecs stream each group
+/// without building an intermediate container (docs/knowledge.md).
 class VersionSet {
  public:
   /// Record that the update event of `v` is a member. Pinned events
@@ -181,10 +186,9 @@ class VersionSet {
     for (const auto& [author, counter] : vv_.entries()) {
       for (std::uint64_t c = 1; c <= counter; ++c) fn(author, c);
     }
-    for (const auto* group : {&extras_, &pinned_}) {
-      for (const auto& [author, counters] : *group) {
-        for (const std::uint64_t c : counters) fn(author, c);
-      }
+    for (const Exceptions& group : exceptions_) {
+      for (const std::uint64_t c : group.extras) fn(group.author, c);
+      for (const std::uint64_t c : group.pinned) fn(group.author, c);
     }
   }
 
@@ -206,13 +210,29 @@ class VersionSet {
   static VersionSet deserialize_exact(ByteReader& r);
 
  private:
-  void compact(ReplicaId author);
-  static std::size_t count_of(
-      const std::map<ReplicaId, std::set<std::uint64_t>>& extras);
+  /// One author's events outside the vector prefix. Both vectors are
+  /// ascending and duplicate-free, and no counter is in both; a group
+  /// with both empty is erased, so equal sets compare equal.
+  struct Exceptions {
+    ReplicaId author;
+    std::vector<std::uint64_t> extras;
+    std::vector<std::uint64_t> pinned;
+
+    friend bool operator==(const Exceptions&,
+                           const Exceptions&) = default;
+  };
+  using Groups = std::vector<Exceptions>;
+
+  /// The author's group, inserted in author order when absent.
+  Groups::iterator group_of(ReplicaId author);
+  /// Fold the group's plain extras into the vector prefix where they
+  /// have become contiguous and drop those the prefix already covers;
+  /// erases the group if that empties it.
+  void compact(Groups::iterator group);
 
   VersionVector vv_;
-  std::map<ReplicaId, std::set<std::uint64_t>> extras_;
-  std::map<ReplicaId, std::set<std::uint64_t>> pinned_;
+  /// Sorted by author.
+  Groups exceptions_;
 };
 
 }  // namespace pfrdtn::repl

@@ -26,6 +26,46 @@ Replica make_replica(std::uint64_t id, std::uint64_t addr) {
   return Replica(ReplicaId(id), Filter::addresses({HostId(addr)}));
 }
 
+/// A MemEnv whose next append to a non-empty file fails with ENOSPC
+/// once armed: the first record after a fresh WAL segment's header.
+class FailNextRecordEnv final : public StorageEnv {
+ public:
+  explicit FailNextRecordEnv(MemEnv& inner) : inner_(inner) {}
+  void arm() { armed_ = true; }
+
+  bool exists(const std::string& name) const override {
+    return inner_.exists(name);
+  }
+  std::size_t file_size(const std::string& name) const override {
+    return inner_.file_size(name);
+  }
+  std::vector<std::uint8_t> read_file(
+      const std::string& name) const override {
+    return inner_.read_file(name);
+  }
+  void append(const std::string& name, const std::uint8_t* data,
+              std::size_t size) override {
+    if (armed_ && inner_.file_size(name) > 0) {
+      armed_ = false;
+      throw StorageError("write", name, ENOSPC);
+    }
+    inner_.append(name, data, size);
+  }
+  void sync(const std::string& name) override { inner_.sync(name); }
+  void write_file_durable(const std::string& name,
+                          const std::vector<std::uint8_t>& bytes) override {
+    inner_.write_file_durable(name, bytes);
+  }
+  void truncate(const std::string& name, std::size_t size) override {
+    inner_.truncate(name, size);
+  }
+  void remove(const std::string& name) override { inner_.remove(name); }
+
+ private:
+  MemEnv& inner_;
+  bool armed_ = false;
+};
+
 TEST(FaultEnv, ZeroRateIsExactPassthrough) {
   MemEnv plain;
   MemEnv inner;
@@ -263,6 +303,37 @@ TEST(FaultEnv, SoftCheckpointFailureKeepsLogging) {
   inner.crash();
   const auto recovered = recover(inner);
   ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(state_digest(recovered->replica), state_digest(replica));
+}
+
+TEST(FaultEnv, FailedDeliveredRecordLeavesNoLedgerEntry) {
+  // Regression: note_delivered added the id to the in-memory ledger
+  // before logging it. With a checkpoint roll pending, log() first
+  // wrote checkpoint E+1 from that ledger; then the Delivered append
+  // failed and the hook threw, so DtnNode withdrew the delivery to
+  // re-report it later — yet the durable checkpoint already listed the
+  // id, and after a restart the message was never reported.
+  MemEnv inner;
+  FailNextRecordEnv env(inner);
+  Replica replica = make_replica(1, 5);
+  DurabilityOptions options;
+  options.checkpoint_every_bytes = 1;  // every record leaves a roll due
+  Durability durability(env, options);
+  durability.attach(replica);
+  const ItemId id = replica.create(to(5), {'a'}).id();
+  const std::uint64_t epoch = durability.epoch();
+
+  env.arm();  // the Delivered record, first in the fresh segment, fails
+  EXPECT_THROW(durability.note_delivered(id), StorageError);
+  EXPECT_EQ(durability.epoch(), epoch + 1);  // the roll ran first
+  EXPECT_TRUE(durability.degraded());
+  EXPECT_EQ(durability.delivered().count(id), 0u);
+
+  inner.crash();
+  const auto recovered = recover(inner);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->stats.epoch, epoch + 1);
+  EXPECT_EQ(recovered->delivered.count(id), 0u);
   EXPECT_EQ(state_digest(recovered->replica), state_digest(replica));
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 namespace pfrdtn::repl {
 namespace {
 
@@ -343,6 +346,75 @@ TEST(ItemStore, RefilterOutputIsArrivalOrdered) {
   std::vector<std::uint64_t> fresh_ids;
   for (const Item& it : fresh) fresh_ids.push_back(it.id().value());
   EXPECT_EQ(fresh_ids, arrivals);
+}
+
+TEST(ItemStore, CopyIndexesOnlyItsOwnEntries) {
+  // Regression: the implicit copy duplicated the dest index's Entry
+  // pointers, so a copy's indexed scan read the *source's* entries —
+  // a later supersede in the source showed through, and destroying
+  // the source left the copy dangling. Copies now rebuild every index.
+  const Filter to_seven = Filter::addresses({HostId(7)});
+  const auto indexed = [&](const ItemStore& store) {
+    std::vector<std::uint64_t> revisions;
+    EXPECT_TRUE(store.for_filter_matches(
+        to_seven, [&](const ItemStore::Entry& entry) {
+          revisions.push_back(entry.item.version().revision);
+          return true;
+        }));
+    std::sort(revisions.begin(), revisions.end());  // visit order is free
+    return revisions;
+  };
+  const auto in_arrival_order = [](ItemStore& store) {
+    std::vector<std::uint64_t> ids;
+    store.for_each_transient([&](const ItemStore::Entry& entry,
+                                 TransientView) {
+      ids.push_back(entry.item.id().value());
+    });
+    std::vector<std::uint64_t> scanned;
+    EXPECT_FALSE(store.for_filter_matches(
+        Filter::all(), [&](const ItemStore::Entry& entry) {
+          scanned.push_back(entry.item.id().value());
+          return true;
+        }));
+    EXPECT_EQ(scanned, ids);
+    return ids;
+  };
+
+  auto original = std::make_unique<ItemStore>(
+      ItemStore::Config{4, EvictionOrder::Fifo});
+  original->put(item(1, /*dest=*/7), /*in_filter=*/true, false);
+  original->put(item(2, /*dest=*/7), /*in_filter=*/false, false);
+  ItemStore copy(*original);
+  ItemStore assigned;
+  assigned = *original;
+
+  // Mutate the source: supersede 1 to revision 7, add 3, drop 2.
+  original->supersede(
+      ItemId(1),
+      Item::Payload::make(ItemId(1), Version{ReplicaId(1), 9, 7},
+                          {{meta::kDest, "7"}}, {}, false),
+      /*in_filter=*/true, /*make_local_origin=*/false);
+  original->put(item(3, /*dest=*/7), true, false);
+  original->remove(ItemId(2));
+  EXPECT_EQ(indexed(*original), (std::vector<std::uint64_t>{1, 7}));
+
+  for (ItemStore* store : {&copy, &assigned}) {
+    EXPECT_EQ(indexed(*store), (std::vector<std::uint64_t>{1, 1}));
+    EXPECT_EQ(in_arrival_order(*store), (std::vector<std::uint64_t>{1, 2}));
+  }
+  original.reset();  // the copies must not point into freed entries
+  for (ItemStore* store : {&copy, &assigned}) {
+    EXPECT_EQ(indexed(*store), (std::vector<std::uint64_t>{1, 1}));
+    EXPECT_EQ(in_arrival_order(*store), (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(store->relay_count(), 1u);
+    EXPECT_EQ(store->evictable_count(), 1u);
+    // Each copy's own indexes follow its own mutations.
+    store->put(item(4, /*dest=*/7), false, false);
+    store->remove(ItemId(1));
+    EXPECT_EQ(in_arrival_order(*store), (std::vector<std::uint64_t>{2, 4}));
+    EXPECT_EQ(store->evictable_count(), 2u);
+  }
+  EXPECT_EQ(copy.next_arrival_seq(), assigned.next_arrival_seq());
 }
 
 }  // namespace

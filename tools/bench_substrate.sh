@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run the substrate micro-benchmarks (bench/micro_substrate) and write
 # BENCH_substrate.json: the current numbers next to the recorded
-# baseline, plus the per-benchmark speedup, so the sync hot-path gains
-# (shared payloads, indexed store, summary exchange) stay measurable
-# instead of anecdotal.
+# baseline, plus the per-benchmark speedup and the context they were
+# measured in (nproc, CPU model, build type, compiler), so the sync
+# hot-path gains (shared payloads, indexed store, summary exchange,
+# contiguous knowledge) stay measurable instead of anecdotal.
 #
 # Only Release builds are accepted: debug-build numbers vary 5-10x and
 # silently poison the baseline comparison. Build one with
@@ -40,12 +41,19 @@ if [[ "$BUILD_TYPE" != "Release" ]]; then
   exit 1
 fi
 
+# Where the numbers came from, recorded next to them: a comparison
+# across different hardware or toolchains is not a regression.
+CXX="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' "$CACHE" | head -1)"
+CPU_MODEL="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
+COMPILER="$("${CXX:-c++}" --version 2> /dev/null | head -1)"
+
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 "$BENCH" --benchmark_out="$TMP" --benchmark_out_format=json \
   ${MIN_TIME:+--benchmark_min_time="$MIN_TIME"} >&2
 
-python3 - "$TMP" "$OUT" << 'PY'
+python3 - "$TMP" "$OUT" "$(nproc)" "$CPU_MODEL" "$BUILD_TYPE" \
+  "$COMPILER" << 'PY'
 import json
 import sys
 
@@ -106,6 +114,12 @@ for b in benches:
 with open(sys.argv[2], "w") as f:
     json.dump(
         {
+            "context": {
+                "nproc": int(sys.argv[3]),
+                "cpu_model": sys.argv[4],
+                "build_type": sys.argv[5],
+                "compiler": sys.argv[6],
+            },
             "baseline_release_ns": BASELINE_NS,
             "speedup_vs_baseline": speedup,
             "current": current,

@@ -36,6 +36,16 @@ run_bench_smoke() {
   "$dir/bench/micro_substrate" --benchmark_min_time=0.01 > /dev/null
 }
 
+# The end-to-end benchmark's own self-test (perfbench/README.md): every
+# declared metric is emitted with its unit, each output check rejects a
+# tampered result, and run.py refuses a tree without the program's
+# sources. Its Release build lands under build-ci/perfbench.
+run_perfbench_selftest() {
+  echo "=== perfbench self-test ==="
+  (cd "$ROOT" && CARGO_TARGET_DIR="$ROOT/build-ci" \
+    python3 perfbench/test_perfbench.py)
+}
+
 # The check harness must be a pure function of its seed: replay the
 # same fixed-seed corpus twice and require byte-identical summaries.
 # This is what makes the printed replay commands, the shrinker, and
@@ -213,6 +223,7 @@ run_suite asan-ubsan -DPFRDTN_SANITIZE=address,undefined
 run_suite tsan -DPFRDTN_SANITIZE=thread
 
 run_bench_smoke
+run_perfbench_selftest
 run_check_replay
 run_check_stage plain 400
 # Sanitized execution is ~10x slower; fewer schedules, same coverage
