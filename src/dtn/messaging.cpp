@@ -120,13 +120,8 @@ EncounterOutcome run_encounter(DtnNode& a, DtnNode& b, SimTime now,
     sync_options.learn_knowledge = options.learn_knowledge;
     if (budget) sync_options.max_items = *budget;
     const auto result =
-        options.sync_runner
-            ? options.sync_runner(source.replica(), target.replica(),
-                                  source.policy(), target.policy(), now,
-                                  sync_options)
-            : repl::run_sync(source.replica(), target.replica(),
-                             source.policy(), target.policy(), now,
-                             sync_options);
+        repl::run_sync(source.replica(), target.replica(), source.policy(),
+                       target.policy(), now, sync_options);
     if (budget) {
       *budget -= std::min(*budget, result.stats.items_sent);
     }

@@ -107,15 +107,6 @@ class DtnNode {
   std::function<void(ItemId)> delivery_sink_;
 };
 
-/// How one one-way sync is executed. Defaults to the in-process
-/// repl::run_sync; the emulator substitutes a runner that routes the
-/// sync through a transport (src/net/) without this layer caring.
-using SyncRunner = std::function<repl::SyncResult(
-    repl::Replica& source, repl::Replica& target,
-    repl::ForwardingPolicy* source_policy,
-    repl::ForwardingPolicy* target_policy, SimTime now,
-    const repl::SyncOptions& options)>;
-
 /// Run the paper's full encounter procedure between two nodes: two
 /// synchronizations with source and target roles alternating, a shared
 /// optional bandwidth budget for the whole encounter, and
@@ -124,8 +115,6 @@ struct EncounterOptions {
   /// Total items transferable across both syncs (Figure 9 uses 1).
   std::optional<std::size_t> encounter_budget;
   bool learn_knowledge = true;
-  /// Empty = in-process repl::run_sync.
-  SyncRunner sync_runner;
 };
 
 struct EncounterOutcome {

@@ -1,15 +1,31 @@
 #include "net/loopback.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstring>
 #include <string>
+#include <vector>
 
 namespace pfrdtn::net {
 
+namespace {
+
+/// One direction's bytes in flight: the writer appends, the reader
+/// consumes from `head`, and the storage is reused once drained.
+struct Pipe {
+  std::vector<std::uint8_t> bytes;
+  std::size_t head = 0;
+
+  [[nodiscard]] std::size_t available() const {
+    return bytes.size() - head;
+  }
+};
+
+}  // namespace
+
 struct LoopbackLink::State {
   LoopbackFaults faults;
-  std::deque<std::uint8_t> to_a;
-  std::deque<std::uint8_t> to_b;
+  Pipe to_a;
+  Pipe to_b;
   std::size_t delivered = 0;
   double seconds = 0.0;
   bool cut = false;  ///< contact window closed by the byte budget
@@ -44,7 +60,7 @@ class LoopbackLink::Endpoint : public Connection {
     auto& inbox = is_a_ ? state_->to_b : state_->to_a;
     const std::size_t deliverable =
         std::min(size, state_->budget_left());
-    inbox.insert(inbox.end(), data, data + deliverable);
+    inbox.bytes.insert(inbox.bytes.end(), data, data + deliverable);
     state_->delivered += deliverable;
     state_->charge(deliverable);
     if (deliverable < size) {
@@ -70,13 +86,17 @@ class LoopbackLink::Endpoint : public Connection {
     // Half-duplex discipline: by the time a side reads, the peer has
     // written everything it will write — missing bytes mean the link
     // was cut (or the peer failed) mid-message.
-    if (inbox.size() < size)
+    if (inbox.available() < size)
       throw TransportError("loopback: link dropped mid-read (wanted " +
                            std::to_string(size) + " bytes, have " +
-                           std::to_string(inbox.size()) + ")");
-    std::copy_n(inbox.begin(), size, data);
-    inbox.erase(inbox.begin(),
-                inbox.begin() + static_cast<std::ptrdiff_t>(size));
+                           std::to_string(inbox.available()) + ")");
+    if (size == 0) return;
+    std::memcpy(data, inbox.bytes.data() + inbox.head, size);
+    inbox.head += size;
+    if (inbox.head == inbox.bytes.size()) {
+      inbox.bytes.clear();
+      inbox.head = 0;
+    }
   }
 
   void close() override { closed_ = true; }

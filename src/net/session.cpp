@@ -808,3 +808,27 @@ ServerSessionOutcome serve_session(Connection& connection,
 }
 
 }  // namespace pfrdtn::net
+
+namespace pfrdtn::repl {
+
+// Declared in repl/sync.hpp. The in-process entry point is the session
+// machines over a fault-free loopback link, so the emulator, the
+// examples and the benches run the same Figure-4 engine as TCP, serve
+// and the check harness.
+SyncResult run_sync(Replica& source, Replica& target,
+                    ForwardingPolicy* source_policy,
+                    ForwardingPolicy* target_policy, SimTime now,
+                    const SyncOptions& options) {
+  net::LoopbackSyncOutcome outcome = net::sync_over_loopback(
+      source, target, source_policy, target_policy, now, options);
+  net::NetSyncResult& client = outcome.client;
+  if (client.refused) {
+    throw ReadOnlyError("replica " + target.id().str() +
+                        " is read-only (sync refused after a storage "
+                        "fault)");
+  }
+  if (client.transport_failed) throw net::TransportError(client.error);
+  return std::move(client.result);
+}
+
+}  // namespace pfrdtn::repl

@@ -316,10 +316,8 @@ class TargetSession {
 };
 
 /// One full sync over an in-memory loopback link, driven sequentially
-/// on the calling thread: the transport-layer equivalent of
-/// repl::run_sync. With no faults injected, the target-side result is
-/// identical to run_sync's — same item outcomes, same framed byte
-/// counts, byte-identical replica state afterwards.
+/// on the calling thread. Fault-free, this is repl::run_sync: that
+/// entry point calls it and returns the target-side result.
 struct LoopbackSyncOutcome {
   NetSyncResult client;  ///< target side
   SourceStats server;    ///< source side

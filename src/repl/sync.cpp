@@ -36,29 +36,6 @@ SummaryRequestInfo SummaryRequestInfo::deserialize(ByteReader& r) {
   return req;
 }
 
-void SyncBatch::serialize(ByteWriter& w) const {
-  w.uvarint(source.value());
-  w.u8(complete ? 1 : 0);
-  w.uvarint(items.size());
-  for (const Item& item : items) item.serialize(w);
-  source_knowledge.serialize(w);
-}
-
-SyncBatch SyncBatch::deserialize(ByteReader& r) {
-  SyncBatch batch;
-  batch.source = ReplicaId(r.uvarint());
-  batch.complete = r.u8() != 0;
-  const std::uint64_t n = r.uvarint();
-  // Never trust a wire count for allocation: each item occupies at
-  // least one byte, so remaining() bounds the plausible count.
-  batch.items.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(n, r.remaining())));
-  for (std::uint64_t i = 0; i < n; ++i)
-    batch.items.push_back(Item::deserialize(r));
-  batch.source_knowledge = Knowledge::deserialize(r);
-  return batch;
-}
-
 void SyncStats::accumulate(const SyncStats& other) {
   items_sent += other.items_sent;
   items_new += other.items_new;
@@ -215,13 +192,6 @@ SyncResult BatchApplier::abandon() {
   result_.stats.complete = false;
   result_.stats.evictions = result_.evicted.size();
   return std::move(result_);
-}
-
-SyncResult apply_batch(Replica& target, const SyncBatch& batch,
-                       const SyncOptions& options) {
-  BatchApplier applier(target, options);
-  for (const Item& item : batch.items) applier.apply(item);
-  return applier.finish(batch.complete, batch.source_knowledge);
 }
 
 SummaryRequestInfo make_summary_request(Replica& target,
@@ -388,144 +358,6 @@ std::string sync_error_code_name(std::uint8_t code) {
     default:
       return "error-" + std::to_string(code);
   }
-}
-
-std::size_t wire_size(const SyncRequest& request) {
-  ByteWriter w;
-  request.serialize(w);
-  return framed_size(w.size());
-}
-
-std::size_t wire_size(const SummaryRequestInfo& request) {
-  ByteWriter w;
-  request.serialize(w);
-  return framed_size(w.size());
-}
-
-std::size_t wire_size(const SyncBatch& batch) {
-  std::size_t total = framed_size(encode_batch_begin(batch).size());
-  // Item::wire_size() is the replicated size cached on the shared
-  // payload plus the copy's transient fields — byte-for-byte what
-  // serialize() would write, without re-serializing metadata and body.
-  for (const Item& item : batch.items)
-    total += framed_size(item.wire_size());
-  ByteWriter w;
-  batch.source_knowledge.serialize(w);
-  total += framed_size(w.size());
-  return total;
-}
-
-namespace {
-
-/// One serialize/deserialize round trip of a protocol message — the
-/// in-process stand-in for a transport hop.
-template <typename Message>
-Message roundtrip(const Message& message, std::size_t& framed_bytes) {
-  ByteWriter w;
-  message.serialize(w);
-  framed_bytes += framed_size(w.size());
-  ByteReader r(w.bytes());
-  Message received = Message::deserialize(r);
-  PFRDTN_ENSURE(r.done());
-  return received;
-}
-
-SyncResult run_summary_sync(Replica& source, Replica& target,
-                            ForwardingPolicy* source_policy,
-                            ForwardingPolicy* target_policy, SimTime now,
-                            const SyncOptions& options) {
-  // ---- target opens with the summary ----
-  std::size_t request_bytes = 0;
-  std::size_t batch_bytes = 0;
-  const SummaryRequestInfo summary_request = make_summary_request(
-      target, target_policy, source.id(), now, options.summary);
-  const SummaryRequestInfo received =
-      roundtrip(summary_request, request_bytes);
-
-  // ---- source decides ----
-  const SummaryAnswer answer =
-      answer_summary(source, source_policy, received, now, options);
-
-  const std::size_t reply_bytes =
-      framed_size(encode_summary_reply(source.id()).size());
-  switch (answer.kind) {
-    case SummaryAnswer::Kind::Match: {
-      batch_bytes += reply_bytes;  // the SummaryMatch frame
-      SyncResult result = apply_summary_match(target, options);
-      result.stats.request_bytes = request_bytes;
-      result.stats.batch_bytes = batch_bytes;
-      return result;
-    }
-    case SummaryAnswer::Kind::Batch: {
-      SyncResult result =
-          apply_batch(target, roundtrip(answer.batch, batch_bytes), options);
-      // As in run_sync: measure the batch as sent, not re-serialized.
-      result.stats.request_bytes = request_bytes;
-      result.stats.batch_bytes = wire_size(answer.batch);
-      return result;
-    }
-    case SummaryAnswer::Kind::Miss:
-      break;
-  }
-
-  // ---- Miss: same-session exact fallback ----
-  batch_bytes += reply_bytes;  // the SummaryMiss frame
-  // The fallback request reuses the routing state the summary already
-  // carried (and answer_summary already processed): policy hooks run
-  // exactly once per sync on every path.
-  const SyncRequest exact{target.id(), target.filter(), target.knowledge(),
-                          summary_request.routing_state};
-  const SyncRequest exact_received = roundtrip(exact, request_bytes);
-  const SyncBatch batch =
-      build_batch(source, source_policy, exact_received, now, options,
-                  /*process_routing_state=*/false);
-  std::size_t ignored = 0;
-  SyncResult result = apply_batch(target, roundtrip(batch, ignored), options);
-  result.stats.request_bytes = request_bytes;
-  result.stats.batch_bytes = batch_bytes + wire_size(batch);
-  return result;
-}
-
-}  // namespace
-
-SyncResult run_sync(Replica& source, Replica& target,
-                    ForwardingPolicy* source_policy,
-                    ForwardingPolicy* target_policy, SimTime now,
-                    const SyncOptions& options) {
-  // The in-process path needs no negotiation, so Auto means On.
-  if (options.summary_mode != SummaryMode::Off) {
-    return run_summary_sync(source, target, source_policy, target_policy,
-                            now, options);
-  }
-
-  // ---- target builds and "sends" the request ----
-  const SyncRequest request =
-      make_request(target, target_policy, source.id(), now);
-  ByteWriter request_writer;
-  request.serialize(request_writer);
-  const std::size_t request_bytes = framed_size(request_writer.size());
-  ByteReader request_reader(request_writer.bytes());
-  const SyncRequest received = SyncRequest::deserialize(request_reader);
-  PFRDTN_ENSURE(request_reader.done());
-
-  // ---- source answers ----
-  const SyncBatch batch =
-      build_batch(source, source_policy, received, now, options);
-  ByteWriter batch_writer;
-  batch.serialize(batch_writer);
-  ByteReader batch_reader(batch_writer.bytes());
-  const SyncBatch arrived = SyncBatch::deserialize(batch_reader);
-  PFRDTN_ENSURE(batch_reader.done());
-
-  // ---- target applies the batch ----
-  SyncResult result = apply_batch(target, arrived, options);
-  result.stats.request_bytes = request_bytes;
-  // Measure the batch as *sent*, not as re-serialized after the
-  // roundtrip: deserializing knowledge folds extras into the version
-  // vector, so `arrived` can re-encode smaller than what a transport
-  // would actually carry.
-  result.stats.batch_bytes = wire_size(batch);
-  return result;
 }
 
 }  // namespace pfrdtn::repl

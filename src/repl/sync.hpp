@@ -15,9 +15,11 @@
 ///            merge source knowledge scoped to own filter iff the batch
 ///            was complete (no filter-matching item truncated).
 ///
-/// Requests and batches make a full serialize/deserialize round trip
-/// through the wire format on every sync, so byte counts are honest and
-/// the format is exercised continuously.
+/// This header holds the protocol's messages, its three steps and its
+/// frame codecs. One engine drives them: the net layer's session
+/// machines (src/net/session.hpp), which loopback, TCP, `serve` and the
+/// check harness run. run_sync below is that engine over a fault-free
+/// in-memory link, so every in-process sync crosses the real frames.
 
 #include <optional>
 
@@ -38,7 +40,8 @@ struct SyncRequest {
   static SyncRequest deserialize(ByteReader& r);
 };
 
-/// What the source returns.
+/// What the source returns. It travels as BatchBegin / BatchItem /
+/// BatchEnd frames, never as one message.
 struct SyncBatch {
   ReplicaId source{};
   std::vector<Item> items;  ///< priority order
@@ -46,9 +49,6 @@ struct SyncBatch {
   /// True iff every filter-matching unknown item was included (policy
   /// extras may still have been truncated). Gates knowledge learning.
   bool complete = true;
-
-  void serialize(ByteWriter& w) const;
-  static SyncBatch deserialize(ByteReader& r);
 };
 
 /// Whether a sync opens with a knowledge summary instead of the exact
@@ -57,8 +57,9 @@ enum class SummaryMode : std::uint8_t {
   Off = 0,  ///< always the exact Figure-4 exchange
   On = 1,   ///< always open with a summary (fail if the peer cannot)
   /// Open with a summary iff the peer advertised support in its Hello;
-  /// resolved to On or Off during session negotiation. The in-process
-  /// path (run_sync) has no peer to ask and treats Auto as On.
+  /// resolved to On or Off during session negotiation. A sync driven
+  /// without a Hello (run_sync, the loopback drives) has no peer to
+  /// ask and treats Auto as On.
   Auto = 2,
 };
 
@@ -119,10 +120,9 @@ struct SyncResult {
 
 // ---- protocol steps --------------------------------------------------
 //
-// The three steps of the Figure-4 exchange as free functions, so the
-// same logic backs both the in-process fast path (run_sync below) and
-// the net-layer session state machine that runs each step on its own
-// side of a real transport.
+// The three steps of the Figure-4 exchange as free functions. The
+// net-layer session machines run each step on its own side of a
+// transport; run_sync drives those machines in process.
 
 /// Target step 1: assemble the request this replica sends to `source`.
 SyncRequest make_request(Replica& target, ForwardingPolicy* target_policy,
@@ -164,10 +164,6 @@ class BatchApplier {
   SyncOptions options_;
   SyncResult result_;
 };
-
-/// Target step 2, whole-batch form (wraps BatchApplier).
-SyncResult apply_batch(Replica& target, const SyncBatch& batch,
-                       const SyncOptions& options = {});
 
 // ---- summary exchange (the sub-linear fast path) ---------------------
 //
@@ -238,14 +234,12 @@ SummaryAnswer answer_summary(Replica& source,
 SyncResult apply_summary_match(Replica& target,
                                const SyncOptions& options = {});
 
-// ---- wire footprint --------------------------------------------------
+// ---- frames ----------------------------------------------------------
 //
 // On a transport (src/net/) a request travels as one frame and a batch
 // travels as a begin frame, one frame per item, and an end frame
 // carrying the source knowledge — so a dropped connection truncates at
-// an item boundary. These helpers compute that framed footprint; the
-// in-process path reports the same numbers so byte counts are
-// comparable across paths.
+// an item boundary. Reported byte counts are these framed sizes.
 
 /// Frame types of the sync wire protocol (frame `type` byte).
 enum class SyncFrame : std::uint8_t {
@@ -338,19 +332,14 @@ ReplicaId decode_summary_reply(const std::vector<std::uint8_t>& payload);
 std::vector<std::uint8_t> encode_batch_ack(std::uint64_t items_applied);
 std::uint64_t decode_batch_ack(const std::vector<std::uint8_t>& payload);
 
-/// Framed bytes of the request as transmitted: one Request frame.
-std::size_t wire_size(const SyncRequest& request);
-/// Framed bytes of the batch as transmitted: BatchBegin + one
-/// BatchItem per item + BatchEnd.
-std::size_t wire_size(const SyncBatch& batch);
-/// Framed bytes of a summary request: one SummaryRequest frame.
-std::size_t wire_size(const SummaryRequestInfo& request);
-
 /// Run one one-way synchronization in which `target` pulls from
-/// `source`. Policies may be null (unmodified substrate). A thin
-/// wrapper over make_request / build_batch / apply_batch that still
-/// pushes both messages through a full serialize/deserialize round
-/// trip, reporting framed wire byte counts.
+/// `source`. Policies may be null (unmodified substrate). Defined in
+/// src/net/session.cpp: the session machines run the exchange over a
+/// fault-free loopback link (net::sync_over_loopback), under the
+/// default ResourceLimits, and the target-side result is returned.
+/// Byte counts are the framed bytes that crossed the link. A refusal
+/// (a degraded read-only target) throws ReadOnlyError and a transport
+/// failure throws net::TransportError; neither returns an empty result.
 SyncResult run_sync(Replica& source, Replica& target,
                     ForwardingPolicy* source_policy,
                     ForwardingPolicy* target_policy, SimTime now,

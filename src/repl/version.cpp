@@ -159,22 +159,17 @@ bool VersionSet::pin(ReplicaId author, std::uint64_t counter) {
 
 void VersionSet::compact(Groups::iterator group) {
   Counters& extras = group->extras;
-  auto done = extras.begin();
-  // Fold the contiguous run. A pinned event would block it, but plain
-  // and pinned extras are disjoint, so a run of plain extras never
-  // passes one.
-  if (done != extras.end() &&
-      *done == vv_.max_counter(group->author) + 1) {
+  // Skip extras that fell inside the prefix (possible after merge()),
+  // then fold the contiguous run above it. A pinned event would block
+  // the run, but plain and pinned extras are disjoint, so a run of
+  // plain extras never passes one.
+  const std::uint64_t prefix = vv_.max_counter(group->author);
+  auto done = std::upper_bound(extras.begin(), extras.end(), prefix);
+  if (done != extras.end() && *done == prefix + 1) {
     std::uint64_t last = *done;
     while (++done != extras.end() && *done == last + 1) ++last;
     vv_.extend(group->author, last);
   }
-  // Drop extras that fell inside the prefix (possible after merge()).
-  // Such a stale extra also stops the fold above, which can leave a
-  // plain extra on prefix + 1 — a shape the exact decoder rejects. It
-  // is kept because knowledge bytes depend on it (ROADMAP.md).
-  done = std::upper_bound(done, extras.end(),
-                          vv_.max_counter(group->author));
   extras.erase(extras.begin(), done);
   if (extras.empty() && group->pinned.empty()) exceptions_.erase(group);
 }

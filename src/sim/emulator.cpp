@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dtn/registry.hpp"
-#include "net/session.hpp"
 #include "sim/event_queue.hpp"
 #include "util/logging.hpp"
 
@@ -145,39 +144,20 @@ void Emulation::record_deliveries(
   }
 }
 
-dtn::SyncRunner Emulation::make_sync_runner() const {
-  if (!config_.loopback_transport) return {};
-  const net::LoopbackFaults faults = config_.loopback_faults;
-  return [faults](repl::Replica& source, repl::Replica& target,
-                  repl::ForwardingPolicy* source_policy,
-                  repl::ForwardingPolicy* target_policy, SimTime now,
-                  const repl::SyncOptions& options) {
-    auto outcome = net::sync_over_loopback(
-        source, target, source_policy, target_policy, now, options,
-        faults);
-    return std::move(outcome.client.result);
-  };
-}
-
 void Emulation::handle_encounter(const trace::Encounter& encounter) {
   dtn::DtnNode& a = *nodes_[encounter.bus_a];
   dtn::DtnNode& b = *nodes_[encounter.bus_b];
   dtn::EncounterOptions options;
   options.encounter_budget = config_.encounter_budget;
   options.learn_knowledge = config_.learn_knowledge;
-  options.sync_runner = make_sync_runner();
 
   if (config_.single_sync_per_encounter) {
     repl::SyncOptions sync_options;
     sync_options.learn_knowledge = options.learn_knowledge;
     sync_options.max_items = options.encounter_budget;
     const auto result =
-        options.sync_runner
-            ? options.sync_runner(b.replica(), a.replica(), b.policy(),
-                                  a.policy(), encounter.time,
-                                  sync_options)
-            : repl::run_sync(b.replica(), a.replica(), b.policy(),
-                             a.policy(), encounter.time, sync_options);
+        repl::run_sync(b.replica(), a.replica(), b.policy(), a.policy(),
+                       encounter.time, sync_options);
     metrics_.on_sync(result.stats);
     record_deliveries(a.on_sync_delivered(result.delivered,
                                           encounter.time),

@@ -19,12 +19,12 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dtn/filter_strategy.hpp"
 #include "dtn/messaging.hpp"
-#include "net/loopback.hpp"
 #include "sim/metrics.hpp"
 #include "trace/email.hpp"
 #include "trace/mobility.hpp"
@@ -56,15 +56,6 @@ struct EmulationConfig {
   /// Run the store/knowledge soundness oracle every N encounters
   /// (0 = disabled). Violations throw ContractViolation.
   std::size_t invariant_check_every = 0;
-
-  /// Route every encounter's syncs through the in-memory loopback
-  /// transport (src/net/), so framing and the session state machine
-  /// are exercised continuously. Fault-free, the emulation is
-  /// byte-for-byte identical to the in-process path.
-  bool loopback_transport = false;
-  /// Faults injected into every loopback contact when the transport
-  /// mode is on (interrupted contacts, throttled links).
-  net::LoopbackFaults loopback_faults;
 
   /// Probability that a user rides a uniformly random scheduled bus on
   /// a day even though their home bus is scheduled (errands; adds the
@@ -113,10 +104,6 @@ class Emulation {
 
  private:
   static constexpr std::uint64_t kBusAddressBase = 100000;
-
-  /// The sync runner handed to run_encounter: empty in the default
-  /// in-process mode, a loopback-session adapter in transport mode.
-  [[nodiscard]] dtn::SyncRunner make_sync_runner() const;
 
   void build_assignment();
   void build_encounter_counts();

@@ -69,6 +69,9 @@ class ByteReader {
  public:
   explicit ByteReader(const std::vector<std::uint8_t>& bytes)
       : data_(bytes.data()), size_(bytes.size()) {}
+  /// The reader only borrows its bytes: a temporary would die at the
+  /// end of the full expression and leave the reader dangling.
+  ByteReader(std::vector<std::uint8_t>&&) = delete;
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
@@ -168,9 +171,8 @@ class ByteReader {
 //   length  u32 LE   payload byte count
 //   payload length bytes
 //
-// The codec lives here, below both src/repl/ and src/net/, so the
-// in-process sync path can report the same framed byte counts a real
-// wire transfer produces without depending on any transport.
+// The codec lives here, with the other byte codecs; src/net/ frames
+// every sync message with it.
 
 inline constexpr std::uint16_t kFrameMagic = 0x5046;
 inline constexpr std::uint8_t kFrameVersion = 1;

@@ -1,7 +1,7 @@
 /// Encounter mode over the loopback transport: both roles alternate on
 /// one contact (a pulls from b, then b pulls from a) and every metric
-/// matches the in-process path running the same two syncs in the same
-/// order — stats, delivered items, and final replica state.
+/// matches two single syncs (repl::run_sync, one link each) run in the
+/// same order — stats, delivered items, and final replica state.
 
 #include <gtest/gtest.h>
 
@@ -88,8 +88,8 @@ void run_parity_check(const SyncOptions& options) {
   ASSERT_FALSE(wire.a_pulled.transport_failed);
   ASSERT_FALSE(wire.b_applied.transport_failed);
 
-  // The in-process path runs the same two syncs in the same order:
-  // a pulls from b, then b pulls from a on the updated state.
+  // Two single syncs, one link each, in the same order: a pulls from
+  // b, then b pulls from a on the updated state.
   World direct_world;
   const auto direct_pull = repl::run_sync(
       direct_world.b, direct_world.a, &direct_world.b_policy,

@@ -111,7 +111,8 @@ TEST(NetFuzz, SummaryRequestDecoderNeverCrashes) {
   Rng rng(21);
   for (int trial = 0; trial < 500; ++trial) {
     must_parse_or_throw([&] {
-      ByteReader r(random_bytes(rng, 96));
+      const std::vector<std::uint8_t> bytes = random_bytes(rng, 96);
+      ByteReader r(bytes);
       (void)repl::SummaryRequestInfo::deserialize(r);
     });
   }
@@ -121,7 +122,8 @@ TEST(NetFuzz, BloomFilterDecoderNeverCrashes) {
   Rng rng(22);
   for (int trial = 0; trial < 500; ++trial) {
     must_parse_or_throw([&] {
-      ByteReader r(random_bytes(rng, 96));
+      const std::vector<std::uint8_t> bytes = random_bytes(rng, 96);
+      ByteReader r(bytes);
       (void)repl::BloomFilter::deserialize(r);
     });
   }

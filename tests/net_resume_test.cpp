@@ -49,7 +49,9 @@ TEST(ResumeSync, CutThenResumeAccountsEveryByteExactlyOnce) {
   const repl::SyncBatch batch = repl::build_batch(
       measured.source, nullptr, request, SimTime(0), {});
   ASSERT_EQ(batch.items.size(), 4u);
-  const std::size_t request_bytes = repl::wire_size(request);
+  ByteWriter request_payload;
+  request.serialize(request_payload);
+  const std::size_t request_bytes = framed_size(request_payload.size());
   const std::size_t begin_bytes =
       framed_size(repl::encode_batch_begin(batch).size());
   std::vector<std::size_t> item_bytes;

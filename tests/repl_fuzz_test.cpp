@@ -44,10 +44,6 @@ TEST(WireFuzz, SyncRequestDecoderNeverCrashes) {
                [](ByteReader& r) { (void)SyncRequest::deserialize(r); });
 }
 
-TEST(WireFuzz, SyncBatchDecoderNeverCrashes) {
-  fuzz_decoder(5, [](ByteReader& r) { (void)SyncBatch::deserialize(r); });
-}
-
 TEST(WireFuzz, TruncationsOfValidRequestThrowOrParse) {
   Replica replica(ReplicaId(1),
                   Filter::addresses({HostId(1), HostId(2)}));
@@ -78,25 +74,43 @@ TEST(WireFuzz, BitFlipsInValidBatchThrowOrParse) {
   Replica source(ReplicaId(1), Filter::addresses({HostId(1)}));
   Replica target(ReplicaId(2), Filter::addresses({HostId(2)}));
   for (int i = 0; i < 4; ++i) source.create({{meta::kDest, "2"}}, {'m'});
-  // Build a real batch through a sync, then serialize it again.
+  source.create({{meta::kDest, "3"}}, {'o'});  // outside target's filter
   run_sync(source, target, nullptr, nullptr, SimTime(0));
-  SyncBatch batch;
-  batch.source = source.id();
-  batch.source_knowledge = source.knowledge();
+  // A batch crosses the wire as one BatchItem frame per item and a
+  // BatchEnd frame carrying knowledge: corrupt those payloads. The
+  // target learned the source's knowledge as a fragment scoped to its
+  // filter, so its encoding covers the fragment form too.
+  std::vector<std::vector<std::uint8_t>> items;
   source.store().for_each([&](const ItemStore::Entry& entry) {
-    batch.items.push_back(entry.item);
+    ByteWriter w;
+    entry.item.serialize(w);
+    items.push_back(w.take());
   });
-  ByteWriter writer;
-  batch.serialize(writer);
-  auto bytes = writer.bytes();
+  std::vector<std::vector<std::uint8_t>> knowledges;
+  for (const Replica* replica : {&source, &target}) {
+    ByteWriter w;
+    replica->knowledge().serialize(w);
+    knowledges.push_back(w.take());
+  }
+  ASSERT_FALSE(target.knowledge().fragments().empty());
+
   Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto corrupted = bytes;
-    corrupted[rng.below(corrupted.size())] ^=
+  const auto flip = [&](std::vector<std::uint8_t> bytes) {
+    bytes[rng.below(bytes.size())] ^=
         static_cast<std::uint8_t>(1u << rng.below(8));
+    return bytes;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto item = flip(items[rng.below(items.size())]);
     try {
-      ByteReader reader(corrupted);
-      (void)SyncBatch::deserialize(reader);
+      ByteReader reader(item);
+      (void)Item::deserialize(reader);
+    } catch (const ContractViolation&) {
+    }
+    const auto knowledge = flip(knowledges[rng.below(knowledges.size())]);
+    try {
+      ByteReader reader(knowledge);
+      (void)Knowledge::deserialize(reader);
     } catch (const ContractViolation&) {
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace pfrdtn::repl {
 namespace {
 
@@ -141,6 +143,78 @@ TEST(Knowledge, WireRoundTrip) {
   EXPECT_TRUE(got.knows(message_to(7), v(3, 4)));
   EXPECT_FALSE(got.knows(message_to(8), v(3, 4)));
 }
+
+/// `k`'s exact (checkpoint) encoding after one round trip through it;
+/// deserialize_exact throws on any shape compact() would not leave.
+std::vector<std::uint8_t> exact_round_trip(const Knowledge& k) {
+  ByteWriter w;
+  k.serialize_exact(w);
+  ByteReader r(w.bytes());
+  const Knowledge copy = Knowledge::deserialize_exact(r);
+  EXPECT_TRUE(r.done());
+  ByteWriter again;
+  copy.serialize_exact(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+  return again.take();
+}
+
+TEST(Knowledge, RepeatedLearnFoldsAboveARaisedPrefix) {
+  // Two complete syncs from peers that knew author 1 as prefix 1 with
+  // extras {3, 5}, then as prefix 4: the equal-scope fragments merge
+  // into prefix 5, which the exact codec round-trips.
+  const Filter scope = Filter::addresses({HostId(3)});
+  Knowledge first;
+  first.add_authored_prefix(ReplicaId(1), 1);
+  first.add_exact(v(1, 3));
+  first.add_exact(v(1, 5));
+  Knowledge second;
+  second.add_authored_prefix(ReplicaId(1), 4);
+  Knowledge k;
+  k.merge_scoped(first, scope);
+  k.merge_scoped(second, scope);
+  ASSERT_EQ(k.fragments().size(), 1u);
+  const VersionSet& versions = k.fragments()[0].versions;
+  EXPECT_EQ(versions.vector_part().max_counter(ReplicaId(1)), 5u);
+  EXPECT_EQ(versions.extras_count(), 0u);
+  EXPECT_NO_THROW(exact_round_trip(k));
+}
+
+/// Property: a replica that learns twice from complete syncs merges two
+/// fragments of equal scope (merge_scoped twice); whatever the peers
+/// knew, its knowledge must survive the exact codec, or recovery would
+/// refuse the replica's own checkpoint.
+class RepeatedLearnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RepeatedLearnTest, EqualScopeMergesSurviveExactCodec) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 5);
+  const Filter scope = Filter::addresses({HostId(3)});
+  const auto random_peer = [&] {
+    Knowledge peer;
+    for (std::uint64_t a = 1; a <= 3; ++a)
+      peer.add_authored_prefix(ReplicaId(a), rng.below(8));
+    for (std::uint64_t n = rng.below(20); n > 0; --n)
+      peer.add_exact(v(1 + rng.below(3), 1 + rng.below(16)));
+    return peer;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const Knowledge first = random_peer();
+    const Knowledge second = random_peer();
+    Knowledge k;
+    k.merge_scoped(first, scope);
+    k.merge_scoped(second, scope);
+    ASSERT_NO_THROW(exact_round_trip(k)) << "trial " << trial;
+    for (std::uint64_t a = 1; a <= 3; ++a) {
+      for (std::uint64_t c = 1; c <= 16; ++c) {
+        const bool known = first.knows(message_to(3), v(a, c)) ||
+                           second.knows(message_to(3), v(a, c));
+        ASSERT_EQ(k.knows(message_to(3), v(a, c)), known)
+            << "trial " << trial << " author " << a << " counter " << c;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RepeatedLearnTest, ::testing::Range(0, 4));
 
 TEST(Knowledge, SizeBytesTracksContent) {
   Knowledge empty;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/storage_error.hpp"
+
 namespace pfrdtn::repl {
 namespace {
 
@@ -11,6 +13,15 @@ std::map<std::string, std::string> to(std::uint64_t dest) {
 
 Replica make_replica(std::uint64_t id, std::uint64_t addr) {
   return Replica(ReplicaId(id), Filter::addresses({HostId(addr)}));
+}
+
+/// `value` after one trip through its wire codec.
+template <typename T>
+T reencoded(const T& value) {
+  ByteWriter w;
+  value.serialize(w);
+  ByteReader r(w.bytes());
+  return T::deserialize(r);
 }
 
 /// A policy that forwards everything at Normal priority, counting its
@@ -297,7 +308,10 @@ TEST(Sync, FactoredStepsMatchRunSync) {
   const SyncRequest request =
       make_request(dst_b, nullptr, src_b.id(), SimTime(0));
   const SyncBatch batch = build_batch(src_b, nullptr, request, SimTime(0));
-  const auto stepped = apply_batch(dst_b, batch);
+  BatchApplier applier(dst_b, {});
+  for (const Item& item : batch.items) applier.apply(item);
+  const auto stepped =
+      applier.finish(batch.complete, batch.source_knowledge);
 
   EXPECT_EQ(whole.stats.items_sent, stepped.stats.items_sent);
   EXPECT_EQ(whole.stats.items_new, stepped.stats.items_new);
@@ -342,10 +356,16 @@ TEST(Sync, BatchApplierFinishMatchesApplyBatch) {
       make_request(dst_a, nullptr, src.id(), SimTime(0));
   const SyncBatch batch = build_batch(src, nullptr, request, SimTime(0));
 
-  const auto whole = apply_batch(dst_a, batch);
+  // The batch as its frames carry it: each item and the source
+  // knowledge decoded from its own payload.
+  BatchApplier wire(dst_a, {});
+  for (const Item& item : batch.items) wire.apply(reencoded(item));
+  const auto whole =
+      wire.finish(batch.complete, reencoded(batch.source_knowledge));
   BatchApplier applier(dst_b, {});
   for (const Item& item : batch.items) applier.apply(item);
-  const auto stepped = applier.finish(batch.complete, batch.source_knowledge);
+  const auto stepped =
+      applier.finish(batch.complete, batch.source_knowledge);
 
   EXPECT_EQ(whole.stats.items_new, stepped.stats.items_new);
   EXPECT_EQ(whole.stats.complete, stepped.stats.complete);
@@ -362,6 +382,17 @@ TEST(Sync, WireSizeCountsFramedBytes) {
   EXPECT_GE(result.stats.request_bytes, kFrameHeaderSize);
   // Batch = begin + one item + end frames.
   EXPECT_GE(result.stats.batch_bytes, 3 * kFrameHeaderSize);
+}
+
+TEST(Sync, ReadOnlyTargetRefusalIsThrown) {
+  Replica src = make_replica(1, 5);
+  Replica dst = make_replica(2, 9);
+  src.create(to(9), {'m'});
+  dst.set_read_only(true);
+  EXPECT_THROW(run_sync(src, dst, nullptr, nullptr, SimTime(0)),
+               ReadOnlyError);
+  EXPECT_EQ(dst.store().size(), 0u);
+  EXPECT_TRUE(dst.knowledge().fragments().empty());
 }
 
 TEST(Sync, StatsAccumulate) {

@@ -364,6 +364,79 @@ TEST_P(VersionSetMergeTest, MergeIsUnion) {
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionSetMergeTest,
                          ::testing::Range(0, 8));
 
+/// `vs` after a trip through the exact (checkpoint) codec, which
+/// rejects any shape compact() would not leave behind.
+VersionSet exact_round_trip(const VersionSet& vs) {
+  ByteWriter w;
+  vs.serialize_exact(w);
+  ByteReader r(w.bytes());
+  VersionSet copy = VersionSet::deserialize_exact(r);
+  EXPECT_TRUE(r.done());
+  return copy;
+}
+
+TEST(VersionSet, MergeFoldsExtrasAboveARaisedPrefix) {
+  // Prefix 1 with extras {3, 5}, merged with prefix 4: extra 3 falls
+  // inside the prefix and 5 sits on prefix + 1, so all of it folds.
+  VersionSet a;
+  a.add_prefix(ReplicaId(1), 1);
+  a.add(ReplicaId(1), 3);
+  a.add(ReplicaId(1), 5);
+  VersionSet b;
+  b.add_prefix(ReplicaId(1), 4);
+  a.merge(b);
+  EXPECT_EQ(a.vector_part().max_counter(ReplicaId(1)), 5u);
+  EXPECT_EQ(a.extras_count(), 0u);
+  EXPECT_EQ(exact_round_trip(a), a);
+}
+
+/// Property: a merge result is what the exact codec accepts and equals
+/// the union. Receivers hold plain events only, as knowledge fragments
+/// do (a merged claim is never pinned); merged-in sets may carry pins.
+class VersionSetMergeShapeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(VersionSetMergeShapeTest, MergedSetSurvivesExactCodec) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
+  constexpr std::uint64_t kAuthors = 3;
+  constexpr std::uint64_t kCounters = 16;
+  const auto random_set = [&](bool pins) {
+    VersionSet vs;
+    for (std::uint64_t a = 1; a <= kAuthors; ++a)
+      vs.add_prefix(ReplicaId(a), rng.below(kCounters / 2));
+    for (std::uint64_t n = rng.below(24); n > 0; --n) {
+      vs.add(ReplicaId(1 + rng.below(kAuthors)), 1 + rng.below(kCounters),
+             pins && rng.chance(0.3));
+    }
+    return vs;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    VersionSet a = random_set(/*pins=*/false);
+    const VersionSet b = random_set(/*pins=*/true);
+    std::set<std::pair<std::uint64_t, std::uint64_t>> expected;
+    for (std::uint64_t author = 1; author <= kAuthors; ++author) {
+      for (std::uint64_t c = 1; c <= kCounters; ++c) {
+        if (a.contains(ReplicaId(author), c) ||
+            b.contains(ReplicaId(author), c)) {
+          expected.emplace(author, c);
+        }
+      }
+    }
+    a.merge(b);
+    ASSERT_EQ(exact_round_trip(a), a) << "trial " << trial;
+    for (std::uint64_t author = 1; author <= kAuthors; ++author) {
+      for (std::uint64_t c = 1; c <= kCounters; ++c) {
+        ASSERT_EQ(a.contains(ReplicaId(author), c),
+                  expected.count({author, c}) > 0)
+            << "trial " << trial << " author " << author << " counter "
+            << c;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VersionSetMergeShapeTest,
+                         ::testing::Range(0, 8));
+
 /// Reference for the wire decoder: its per-group rule spelled out over
 /// node-based containers — each group's counters are inserted one by
 /// one (wrapping sums, zeros and repeats included), then that author is

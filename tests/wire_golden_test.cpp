@@ -1,5 +1,5 @@
 // Wire-format golden test: serializes a fixed corpus of items,
-// filters, knowledge, requests and batches and compares FNV-1a-64
+// filters, knowledge, requests and frame payloads and compares FNV-1a-64
 // digests against checked-in goldens. The goldens were generated from
 // the pre-shared-payload implementation (PR 3), so a passing run
 // proves the storage refactor left every frame byte-identical. Any
@@ -93,12 +93,11 @@ Knowledge corpus_knowledge() {
   return k;
 }
 
-SyncBatch corpus_batch(bool complete) {
+SyncBatch corpus_batch() {
   SyncBatch batch;
   batch.source = ReplicaId(9);
   batch.items = {plain_item(), tombstone_item(), bare_item()};
   batch.source_knowledge = corpus_knowledge();
-  batch.complete = complete;
   return batch;
 }
 
@@ -148,16 +147,8 @@ TEST(WireGolden, FramesAreByteIdentical) {
                      hex64(fnv1a64(all_requests.bytes())),
                      "02ad2e6cc89463bb"});
 
-  goldens.push_back(
-      {"batch_complete",
-       digest([](ByteWriter& w) { corpus_batch(true).serialize(w); }),
-       "d3b5caf5f162f9a6"});
-  goldens.push_back(
-      {"batch_truncated",
-       digest([](ByteWriter& w) { corpus_batch(false).serialize(w); }),
-       "ab3139378fe4b787"});
   goldens.push_back({"batch_begin_frame",
-                     hex64(fnv1a64(encode_batch_begin(corpus_batch(true)))),
+                     hex64(fnv1a64(encode_batch_begin(corpus_batch()))),
                      "15f2d2188e6a0474"});
 
   // Summary-exchange frames (PR 7). The digest inside the summary is
@@ -212,34 +203,65 @@ TEST(WireGolden, FramesAreByteIdentical) {
   }
 
   // Framed footprints (header + payload sizes) must not drift either:
-  // byte accounting feeds the paper's bandwidth figures.
+  // byte accounting feeds the paper's bandwidth figures. A batch is a
+  // BatchBegin frame, one BatchItem frame per item and a BatchEnd frame
+  // carrying the source knowledge.
+  const auto framed = [](const std::function<void(ByteWriter&)>& emit) {
+    ByteWriter w;
+    emit(w);
+    return framed_size(w.size());
+  };
   SyncRequest request;
   request.target = ReplicaId(7);
   request.filter = filters[2];
   request.knowledge = corpus_knowledge();
-  EXPECT_EQ(wire_size(request), 40u);
-  EXPECT_EQ(wire_size(corpus_batch(true)), 193u);
-  EXPECT_EQ(wire_size(summary_request), 28u);
+  EXPECT_EQ(framed([&](ByteWriter& w) { request.serialize(w); }), 40u);
+  const SyncBatch batch = corpus_batch();
+  std::size_t batch_bytes = framed_size(encode_batch_begin(batch).size());
+  for (const Item& item : batch.items)
+    batch_bytes += framed([&](ByteWriter& w) { item.serialize(w); });
+  batch_bytes += framed(
+      [&](ByteWriter& w) { batch.source_knowledge.serialize(w); });
+  EXPECT_EQ(batch_bytes, 193u);
+  EXPECT_EQ(framed([&](ByteWriter& w) { summary_request.serialize(w); }),
+            28u);
 }
 
-// The corpus round-trips: goldens prove stability, this proves the
-// bytes still decode to equal values.
+// The corpus round-trips: goldens prove stability, this proves each
+// frame payload of the batch still decodes to equal values.
 TEST(WireGolden, CorpusRoundTrips) {
-  ByteWriter w;
-  corpus_batch(true).serialize(w);
-  ByteReader r(w.bytes());
-  const SyncBatch copy = SyncBatch::deserialize(r);
-  EXPECT_TRUE(r.done());
-  ASSERT_EQ(copy.items.size(), 3u);
-  EXPECT_EQ(copy.items[0].id(), plain_item().id());
-  EXPECT_EQ(copy.items[0].transient_int("ttl"), 7);
-  EXPECT_EQ(copy.items[0].meta(meta::kDest), "3,17,42");
-  EXPECT_TRUE(copy.items[1].deleted());
-  EXPECT_EQ(copy.items[2].version(), bare_item().version());
+  const SyncBatch batch = corpus_batch();
+  const BatchBeginInfo begin =
+      decode_batch_begin(encode_batch_begin(batch));
+  EXPECT_EQ(begin.source, batch.source);
+  EXPECT_TRUE(begin.complete);
+  EXPECT_EQ(begin.count, 3u);
 
-  ByteWriter w2;
-  copy.serialize(w2);
-  EXPECT_EQ(w.bytes(), w2.bytes());
+  std::vector<Item> copies;
+  for (const Item& item : batch.items) {
+    ByteWriter w;
+    item.serialize(w);
+    ByteReader r(w.bytes());
+    copies.push_back(Item::deserialize(r));
+    EXPECT_TRUE(r.done());
+    ByteWriter again;
+    copies.back().serialize(again);
+    EXPECT_EQ(again.bytes(), w.bytes());
+  }
+  EXPECT_EQ(copies[0].id(), plain_item().id());
+  EXPECT_EQ(copies[0].transient_int("ttl"), 7);
+  EXPECT_EQ(copies[0].meta(meta::kDest), "3,17,42");
+  EXPECT_TRUE(copies[1].deleted());
+  EXPECT_EQ(copies[2].version(), bare_item().version());
+
+  ByteWriter w;
+  batch.source_knowledge.serialize(w);
+  ByteReader r(w.bytes());
+  const Knowledge knowledge = Knowledge::deserialize(r);
+  EXPECT_TRUE(r.done());
+  ByteWriter again;
+  knowledge.serialize(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
 }
 
 }  // namespace
