@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "check/mutant_env.hpp"
 #include "check/oracle.hpp"
 #include "net/chaos.hpp"
 #include "persist/checkpoint.hpp"
@@ -145,11 +146,9 @@ class Engine {
     // events run identically to a durability-free harness.
     dur_options_.sync_every_records = 1;
     dur_options_.checkpoint_every_bytes = 4096;
-    dur_options_.unsafe_skip_fsync = config.inject_skip_fsync;
-    dur_options_.unsafe_ack_before_fsync =
-        config.inject_ack_before_fsync;
     envs_.reserve(config.replicas);
     fault_envs_.reserve(config.replicas);
+    mutant_envs_.reserve(config.replicas);
     durabilities_.reserve(config.replicas);
     for (std::size_t i = 0; i < config.replicas; ++i) {
       envs_.push_back(std::make_unique<persist::MemEnv>());
@@ -166,6 +165,15 @@ class Engine {
       } else {
         fault_envs_.push_back(nullptr);
       }
+      // An injected durability bug sits on top of everything else, so
+      // a faulting env's errors reach the mutant first.
+      std::optional<DurabilityMutant> mutant;
+      if (config.inject_ack_before_fsync)
+        mutant = DurabilityMutant::AckBeforeFsync;
+      if (config.inject_skip_fsync) mutant = DurabilityMutant::SkipFsync;
+      mutant_envs_.push_back(
+          mutant ? std::make_unique<MutantEnv>(base_env_of(i), *mutant)
+                 : nullptr);
       durabilities_.push_back(std::make_unique<persist::Durability>(
           env_of(i), dur_options_));
       durabilities_[i]->attach(replicas_[i]);
@@ -216,6 +224,12 @@ class Engine {
   }
 
   [[nodiscard]] persist::StorageEnv& env_of(std::size_t i) {
+    if (mutant_envs_[i]) return *mutant_envs_[i];
+    return base_env_of(i);
+  }
+
+  /// The env below any injected durability mutant.
+  [[nodiscard]] persist::StorageEnv& base_env_of(std::size_t i) {
     if (fault_envs_[i]) return *fault_envs_[i];
     return *envs_[i];
   }
@@ -970,6 +984,9 @@ class Engine {
   /// Declared after envs_ (wraps them), before durabilities_ (which
   /// write through them).
   std::vector<std::unique_ptr<persist::FaultInjectingEnv>> fault_envs_;
+  /// Non-null per replica under --inject-bug skip-fsync or
+  /// ack-before-fsync; wraps the env above.
+  std::vector<std::unique_ptr<MutantEnv>> mutant_envs_;
   std::vector<std::unique_ptr<persist::Durability>> durabilities_;
 };
 

@@ -118,7 +118,7 @@ struct ScenarioConfig {
   bool inject_learn_truncated = false;
   /// Inject the durability bug (WAL records written but never fsynced)
   /// to prove the crash probe catches recovery that forgets
-  /// acknowledged state. See persist::DurabilityOptions.
+  /// acknowledged state. See check::MutantEnv.
   bool inject_skip_fsync = false;
   /// Inject the hardening bug "resource limits not enforced": adversary
   /// sessions are served with ResourceLimits::unlimited(), so the
@@ -147,7 +147,8 @@ struct ScenarioConfig {
   /// failures are swallowed and the records acknowledged anyway. The
   /// layer never degrades, so the next CrashRestart's exact digest
   /// probe observes the silently dropped acknowledged state. Only
-  /// observable with disk_fault_rate > 0 and crash events.
+  /// observable with disk_fault_rate > 0 and crash events. See
+  /// check::MutantEnv.
   bool inject_ack_before_fsync = false;
   /// Retrying contact discipline: a Sync leg cut mid-stream is
   /// re-dialed up to this many times, with per-attempt cut budgets

@@ -178,8 +178,7 @@ void apply_wal_record(repl::Replica& replica,
 Durability::Durability(StorageEnv& env, DurabilityOptions options)
     : env_(env),
       options_(std::move(options)),
-      wal_(env, kWalFile, options_.sync_every_records,
-           options_.unsafe_skip_fsync, options_.unsafe_ack_before_fsync) {
+      wal_(env, kWalFile, options_.sync_every_records) {
   if (options_.checkpoint_generations == 0)
     options_.checkpoint_generations = 1;
   next_checkpoint_at_ = options_.checkpoint_every_bytes;

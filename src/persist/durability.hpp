@@ -107,15 +107,6 @@ struct DurabilityOptions {
   /// Checkpoint generations to retain (minimum 1). Older generations
   /// are the fallback when the newest checkpoint is unreadable.
   std::size_t checkpoint_generations = 3;
-  /// Injectable durability bug for the check harness / --inject-bug
-  /// skip-fsync: records are written but never fsynced, so a crash
-  /// silently loses acknowledged mutations. See WalWriter.
-  bool unsafe_skip_fsync = false;
-  /// Injectable durability bug for --inject-bug ack-before-fsync: the
-  /// fsync is attempted but its *failure* is swallowed and the records
-  /// acknowledged anyway (retry-fsync-and-assume-durable, the
-  /// fsyncgate bug). Only observable under injected storage faults.
-  bool unsafe_ack_before_fsync = false;
   /// Debug hook for crash e2e tests: raise SIGKILL immediately after
   /// the Nth WAL record is appended (0 = disabled). Gives scripts a
   /// deterministic mid-batch crash point.

@@ -2,7 +2,6 @@
 
 #include "util/crc32.hpp"
 #include "util/require.hpp"
-#include "util/storage_error.hpp"
 
 namespace pfrdtn::persist {
 
@@ -105,7 +104,7 @@ void WalWriter::reset(std::uint64_t epoch) {
   env_->truncate(name_, 0);
   const auto header = encode_wal_header(epoch);
   env_->append(name_, header.data(), header.size());
-  if (!unsafe_skip_fsync_) sync_now();
+  sync_now();
   log_bytes_ = header.size();
   pending_ = 0;
 }
@@ -121,29 +120,11 @@ void WalWriter::append(const std::vector<std::uint8_t>& payload) {
 
 void WalWriter::flush() {
   if (pending_ == 0) return;
-  // unsafe_skip_fsync is the injectable durability bug: appended
-  // records are acknowledged without ever being made durable, so a
-  // crash forgets them — the exact failure the check harness's
-  // crash probe must catch (--inject-bug skip-fsync).
-  if (!unsafe_skip_fsync_) sync_now();
+  sync_now();
   pending_ = 0;
 }
 
 void WalWriter::sync_now() {
-  // unsafe_ack_before_fsync is the storage-fault sibling of
-  // skip-fsync: the fsync *is* attempted, but a failure is swallowed
-  // and the records acknowledged anyway — retry-fsync-and-assume-
-  // durable, the fsyncgate bug. Under disk-fault injection the
-  // durability probe must catch it (--inject-bug ack-before-fsync).
-  if (unsafe_ack_before_fsync_) {
-    try {
-      env_->sync(name_);
-      ++syncs_;
-    } catch (const StorageError&) {
-      // acknowledged anyway — the bug under test
-    }
-    return;
-  }
   env_->sync(name_);
   ++syncs_;
 }

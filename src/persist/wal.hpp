@@ -64,15 +64,12 @@ WalScan scan_wal_file(const StorageEnv& env, const std::string& name);
 class WalWriter {
  public:
   WalWriter(StorageEnv& env, std::string name,
-            std::size_t sync_every_records, bool unsafe_skip_fsync,
-            bool unsafe_ack_before_fsync = false)
+            std::size_t sync_every_records)
       : env_(&env),
         name_(std::move(name)),
         sync_every_records_(sync_every_records == 0
                                 ? 1
-                                : sync_every_records),
-        unsafe_skip_fsync_(unsafe_skip_fsync),
-        unsafe_ack_before_fsync_(unsafe_ack_before_fsync) {}
+                                : sync_every_records) {}
 
   /// Retarget the writer at another log file (checkpoint generations
   /// keep one WAL segment per epoch). Pending state is discarded; call
@@ -109,8 +106,6 @@ class WalWriter {
   StorageEnv* env_;
   std::string name_;
   std::size_t sync_every_records_;
-  bool unsafe_skip_fsync_;
-  bool unsafe_ack_before_fsync_;
   std::size_t log_bytes_ = 0;
   std::size_t records_appended_ = 0;
   std::size_t bytes_appended_ = 0;

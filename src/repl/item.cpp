@@ -50,8 +50,7 @@ void serialize_replicated(const Item::Payload& payload, ByteWriter& w) {
 
 Item::PayloadPtr Item::Payload::make(
     ItemId id, Version version, std::map<std::string, std::string> metadata,
-    std::vector<std::uint8_t> body, bool deleted,
-    std::optional<std::size_t> replicated_wire_size) {
+    std::vector<std::uint8_t> body, bool deleted) {
   auto payload = std::make_shared<Payload>();
   payload->id = id;
   payload->version = version;
@@ -61,13 +60,6 @@ Item::PayloadPtr Item::Payload::make(
   const auto dest = payload->metadata.find(meta::kDest);
   if (dest != payload->metadata.end())
     payload->dest_addresses = decode_hosts(dest->second);
-  if (replicated_wire_size) {
-    payload->replicated_wire_size = *replicated_wire_size;
-  } else {
-    ByteWriter w;
-    serialize_replicated(*payload, w);
-    payload->replicated_wire_size = w.size();
-  }
   return payload;
 }
 
@@ -117,22 +109,6 @@ void Item::adopt_payload(PayloadPtr payload) {
   transient_.clear();
 }
 
-std::size_t Item::wire_size() const {
-  const std::size_t total = payload_->replicated_wire_size;
-  // The common case: no per-copy state, and uvarint(0) is one byte.
-  if (transient_.empty()) return total + 1;
-  // The transient part is per-copy, so its footprint is computed here
-  // rather than cached: uvarint(count) + length-prefixed key/value
-  // pairs, exactly as serialize() writes them.
-  ByteWriter w;
-  w.uvarint(transient_.size());
-  for (const auto& [key, value] : transient_) {
-    w.str(key);
-    w.str(value);
-  }
-  return total + w.size();
-}
-
 void Item::serialize(ByteWriter& w) const {
   serialize_replicated(*payload_, w);
   w.uvarint(transient_.size());
@@ -143,7 +119,6 @@ void Item::serialize(ByteWriter& w) const {
 }
 
 Item Item::deserialize(ByteReader& r) {
-  const std::size_t before = r.remaining();
   const ItemId id = ItemId(r.uvarint());
   const Version version = Version::deserialize(r);
   const bool deleted = r.u8() != 0;
@@ -155,11 +130,8 @@ Item Item::deserialize(ByteReader& r) {
     metadata[std::move(key)] = r.str();
   }
   std::vector<std::uint8_t> body = r.raw();
-  // The replicated bytes just consumed ARE the cached wire size; no
-  // need to re-serialize to fill the payload's cache.
-  const std::size_t replicated_size = before - r.remaining();
   Item item(Payload::make(id, version, std::move(metadata),
-                          std::move(body), deleted, replicated_size));
+                          std::move(body), deleted));
   const std::uint64_t tr_count = r.uvarint();
   for (std::uint64_t i = 0; i < tr_count; ++i) {
     r.charge_elements();

@@ -48,8 +48,8 @@ class Item {
  public:
   /// The immutable replicated part of an item, shared by every copy of
   /// the same version. Construct only through make(): the cached
-  /// fields (parsed dest addresses, replicated wire size) are derived
-  /// from the replicated fields at construction and must stay in step.
+  /// parsed dest addresses are derived from the metadata at
+  /// construction and must stay in step.
   struct Payload {
     ItemId id{};
     Version version{};
@@ -61,18 +61,11 @@ class Item {
     /// (empty for non-message items) — filters consult this on every
     /// sync candidate scan, the store keys its inverted index on it.
     std::vector<HostId> dest_addresses;
-    /// Serialized byte count of the replicated part (everything but
-    /// the per-copy transient map), for O(1) traffic accounting.
-    std::size_t replicated_wire_size = 0;
 
-    /// `replicated_wire_size`, when the caller already knows it (the
-    /// deserializer measures the bytes it consumed), skips the scratch
-    /// serialization otherwise needed to fill the cache.
     static std::shared_ptr<const Payload> make(
         ItemId id, Version version,
         std::map<std::string, std::string> metadata,
-        std::vector<std::uint8_t> body, bool deleted,
-        std::optional<std::size_t> replicated_wire_size = std::nullopt);
+        std::vector<std::uint8_t> body, bool deleted);
   };
   using PayloadPtr = std::shared_ptr<const Payload>;
 
@@ -147,10 +140,6 @@ class Item {
   /// deep copy) — the remote-apply fast path. Same domination contract
   /// and transient-dropping semantics as supersede().
   void adopt_payload(PayloadPtr payload);
-
-  /// Wire size of this copy as transmitted (replicated part, cached on
-  /// the payload, plus this copy's transient fields).
-  [[nodiscard]] std::size_t wire_size() const;
 
   void serialize(ByteWriter& w) const;
   static Item deserialize(ByteReader& r);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/mutant_env.hpp"
 #include "persist/durability.hpp"
 #include "util/storage_error.hpp"
 
@@ -222,21 +223,21 @@ TEST(FaultEnv, CleanRestartClearsDegradedMarker) {
 }
 
 TEST(FaultEnv, AckBeforeFsyncMutantLosesAcknowledgedState) {
-  // The fsyncgate mutant: with unsafe_ack_before_fsync the failed
-  // fsync is swallowed and the mutation acknowledged anyway — no
-  // throw, no degrade — so a crash loses state a caller was promised.
-  // This is the bug `check --inject-bug ack-before-fsync` must catch.
+  // The fsyncgate mutant: with ack-before-fsync the failed fsync is
+  // swallowed and the mutation acknowledged anyway — no throw, no
+  // degrade — so a crash loses state a caller was promised. This is
+  // the bug `check --inject-bug ack-before-fsync` must catch.
   MemEnv inner;
   FaultPlan plan{.seed = 5, .fault_rate = 1.0};
   plan.fail_appends = false;
   plan.fail_durable_writes = false;
   plan.fail_truncates = false;
   FaultInjectingEnv fault_env(inner, plan);
+  check::MutantEnv ack_before_fsync(
+      fault_env, check::DurabilityMutant::AckBeforeFsync);
 
   Replica replica = make_replica(1, 5);
-  DurabilityOptions options;
-  options.unsafe_ack_before_fsync = true;
-  Durability durability(fault_env, options);
+  Durability durability(ack_before_fsync);
   durability.attach(replica);
   const std::uint64_t before = state_digest(replica);
 

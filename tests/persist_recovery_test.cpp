@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/mutant_env.hpp"
 #include "repl/sync.hpp"
 #include "util/byte_buffer.hpp"
 
@@ -133,11 +134,10 @@ TEST(Recovery, SkipFsyncBugLosesAcknowledgedState) {
   // acknowledge records that were never made durable, so a crash rolls
   // the replica back to the initial checkpoint.
   MemEnv env;
+  check::MutantEnv skip_fsync(env, check::DurabilityMutant::SkipFsync);
   Replica replica = make_replica(1, 5);
   const std::uint64_t empty_digest = state_digest(replica);
-  DurabilityOptions options;
-  options.unsafe_skip_fsync = true;
-  Durability durability(env, options);
+  Durability durability(skip_fsync);
   durability.attach(replica);
 
   replica.create(to(5), {'a'});

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/mutant_env.hpp"
 #include "util/rng.hpp"
 
 namespace pfrdtn::persist {
@@ -146,8 +147,7 @@ TEST(Wal, LengthLieEndsTheScan) {
 
 TEST(Wal, WriterBatchesFsyncs) {
   MemEnv env;
-  WalWriter writer(env, "wal", /*sync_every_records=*/3,
-                   /*unsafe_skip_fsync=*/false);
+  WalWriter writer(env, "wal", /*sync_every_records=*/3);
   writer.reset(1);
   EXPECT_EQ(env.durable_size("wal"), kWalHeaderSize);
 
@@ -176,7 +176,8 @@ TEST(Wal, WriterBatchesFsyncs) {
 
 TEST(Wal, SkipFsyncLosesUnsyncedRecordsOnCrash) {
   MemEnv env;
-  WalWriter writer(env, "wal", 1, /*unsafe_skip_fsync=*/true);
+  check::MutantEnv skip_fsync(env, check::DurabilityMutant::SkipFsync);
+  WalWriter writer(skip_fsync, "wal", 1);
   writer.reset(1);
   writer.append(payload_of(10, 1));
   writer.flush();  // the bug: flush() does not actually sync
@@ -188,7 +189,7 @@ TEST(Wal, SkipFsyncLosesUnsyncedRecordsOnCrash) {
 
 TEST(Wal, ResumeTruncatesTornTailAndAppendsCleanly) {
   MemEnv env;
-  WalWriter writer(env, "wal", 1, false);
+  WalWriter writer(env, "wal", 1);
   writer.reset(9);
   writer.append(payload_of(12, 1));
   writer.append(payload_of(12, 2));
@@ -202,7 +203,7 @@ TEST(Wal, ResumeTruncatesTornTailAndAppendsCleanly) {
   ASSERT_EQ(scan.records.size(), 2u);
   ASSERT_EQ(scan.torn_bytes, 3u);
 
-  WalWriter resumed(env, "wal", 1, false);
+  WalWriter resumed(env, "wal", 1);
   resumed.resume(scan);
   resumed.append(payload_of(12, 3));
 

@@ -12,6 +12,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2> /dev/null || echo 4)"
+source "$ROOT/tools/e2e_lib.sh"
 
 run_suite() {
   local name="$1"
@@ -74,150 +75,85 @@ run_check_stage() {
   local bin="$ROOT/build-ci/$name/tools/pfrdtn"
   local seed
   seed="$(date -u +%Y%m%d)"
+  # band DIVISOR FLAGS...: runs/DIVISOR schedules of one fault band.
+  band() { "$bin" check --seed "$seed" --runs "$((runs / $1))" "${@:2}"; }
   echo "=== [$name] check: $runs randomized schedules (seed $seed) ==="
-  "$bin" check --seed "$seed" --runs "$runs"
-  "$bin" check --seed "$seed" --runs "$((runs / 4))" --cut-rate 0.7 \
-    --storage 1
+  band 1
+  band 4 --cut-rate 0.7 --storage 1
   # Crash-restart events against the WAL + checkpoint recovery path:
   # every crash must recover the exact acknowledged state (the
   # durability probe digests state before and after).
-  "$bin" check --seed "$seed" --runs "$((runs / 4))" --crash-rate 0.2 \
-    --cut-rate 0.3
+  band 4 --crash-rate 0.2 --cut-rate 0.3
   # Chaos-peer adversary events against the hardened session boundary:
   # every hostile script must be rejected (violations) or absorbed
   # (link-indistinguishable closes/trickles) with the serving replica's
   # state untouched, and the slow-loris cut by the session deadline.
-  "$bin" check --seed "$seed" --runs "$((runs / 4))" \
-    --adversary-rate 0.4
-  "$bin" check --seed "$seed" --runs "$((runs / 8))" \
-    --adversary-rate 0.25 --cut-rate 0.3 --crash-rate 0.1
+  band 4 --adversary-rate 0.4
+  band 8 --adversary-rate 0.25 --cut-rate 0.3 --crash-rate 0.1
   # Summary-exchange syncs (plus forced digest collisions) against the
   # equivalence and quiescence probes: summaries must change wire
   # bytes, never outcomes, and a spurious Match may defer items but
   # never lose them.
-  "$bin" check --seed "$seed" --runs "$((runs / 4))" \
-    --summary-rate 0.5 --summary-collision-rate 0.2
-  "$bin" check --seed "$seed" --runs "$((runs / 8))" \
-    --summary-rate 0.4 --cut-rate 0.3 --crash-rate 0.1
+  band 4 --summary-rate 0.5 --summary-collision-rate 0.2
+  band 8 --summary-rate 0.4 --cut-rate 0.3 --crash-rate 0.1
   # Flaky-contact schedules against the retrying contact discipline:
   # every cut sync earns re-dial attempts that must make monotone
   # forward progress, deliver nothing twice (the at-most-once probe
   # audits received events), and strike nobody over a link fault.
-  "$bin" check --seed "$seed" --runs "$((runs / 4))" \
-    --retry-max 3 --cut-rate 0.6
-  "$bin" check --seed "$seed" --runs "$((runs / 8))" \
-    --retry-max 3 --cut-rate 0.4 --crash-rate 0.15 \
+  band 4 --retry-max 3 --cut-rate 0.6
+  band 8 --retry-max 3 --cut-rate 0.4 --crash-rate 0.15 \
     --summary-rate 0.3 --adversary-rate 0.1
   # Storage-fault schedules against the degrade-to-read-only path:
   # every injected disk fault must refuse the mutation with zero trace
   # (nothing acknowledged is ever lost), degraded replicas keep serving
   # reads but strike nobody, and a heal + restart converges.
-  "$bin" check --seed "$seed" --runs "$((runs / 4))" \
-    --disk-fault-rate 0.05 --crash-rate 0.15
-  "$bin" check --seed "$seed" --runs "$((runs / 8))" \
-    --disk-fault-rate 0.1 --crash-rate 0.2 --cut-rate 0.3 \
+  band 4 --disk-fault-rate 0.05 --crash-rate 0.15
+  band 8 --disk-fault-rate 0.1 --crash-rate 0.2 --cut-rate 0.3 \
     --summary-rate 0.2 --adversary-rate 0.1
 }
 
-# The durability oracle must actually bite: with fsync skipped, a
-# fixed-seed crash schedule has to fail with a durability violation
-# and shrink to a small reproduction. Guards against the crash probe
-# silently degrading into a no-op.
-run_durability_oracle_proof() {
-  local name="$1"
-  local bin="$ROOT/build-ci/$name/tools/pfrdtn"
-  echo "=== [$name] check: skip-fsync bug is caught ==="
-  local rc=0
-  "$bin" check --seed 1 --runs 10 --crash-rate 0.3 \
-    --inject-bug skip-fsync > /dev/null || rc=$?
-  if [[ "$rc" -ne 1 ]]; then
-    echo "skip-fsync injection was not detected (exit $rc)" >&2
-    exit 1
-  fi
-  echo "durability oracle caught the injected fsync skip"
-}
+# Every injected bug must actually be caught: its fixed-seed schedule
+# has to fail an invariant probe, reproduce byte-identically and
+# shrink small (expect_caught, tools/e2e_lib.sh). Guards each probe
+# against silently degrading into a no-op:
+#   skip-fsync             the WAL acks records it never fsyncs; the
+#                          crash probe must see state forgotten
+#   ack-before-fsync       fsync failures are swallowed; under disk
+#                          faults the durability probe must see it
+#   skip-limit-check,      adversary sessions run unlimited / without
+#   no-deadline            a deadline; the containment / deadline
+#                          probes must fire
+#   summary-skip-fallback  a digest mismatch gets an empty "complete"
+#                          batch; knowledge-soundness must fire
+#   retry-forgets-progress re-dials re-count applied items; the
+#                          monotone-progress / at-most-once probes
+#                          must fire
+ORACLE_PROOFS=(
+  "skip-fsync --seed 1 --runs 10 --crash-rate 0.3"
+  "ack-before-fsync --seed 1 --runs 10 --crash-rate 0.2 --disk-fault-rate 0.05"
+  "skip-limit-check --seed 7 --runs 10 --adversary-rate 0.5"
+  "no-deadline --seed 7 --runs 10 --adversary-rate 0.5"
+  "summary-skip-fallback --seed 1 --runs 10 --summary-rate 0.6"
+  "retry-forgets-progress --seed 1876 --runs 10 --retry-max 3 --cut-rate 0.6"
+)
 
-# The acknowledgement oracle must bite under storage faults too: with
-# the WAL acking mutations before they are durable (ack-before-fsync),
-# a fixed-seed disk-fault + crash schedule has to fail the durability
-# probe and shrink small. Guards the write-ahead ordering that the
-# whole degrade-to-read-only design rests on.
-run_diskfault_oracle_proof() {
-  local name="$1"
-  local bin="$ROOT/build-ci/$name/tools/pfrdtn"
-  echo "=== [$name] check: ack-before-fsync bug is caught ==="
-  local rc=0
-  "$bin" check --seed 1 --runs 10 --crash-rate 0.2 \
-    --disk-fault-rate 0.05 --inject-bug ack-before-fsync \
-    > /dev/null || rc=$?
-  if [[ "$rc" -ne 1 ]]; then
-    echo "ack-before-fsync injection was not detected (exit $rc)" >&2
-    exit 1
-  fi
-  echo "durability oracle caught the injected early acknowledgement"
-}
-
-# The adversary probes must bite too: with limit enforcement skipped, a
-# fixed-seed adversary schedule has to fail the containment probe; with
-# the session deadline disabled, the byte-trickle schedule has to fail
-# the deadline probe. Both must shrink to a small reproduction. Guards
-# against the hostile-peer suite silently degrading into a no-op.
-run_adversary_oracle_proof() {
-  local name="$1"
-  local bin="$ROOT/build-ci/$name/tools/pfrdtn"
-  local bug rc
-  for bug in skip-limit-check no-deadline; do
-    echo "=== [$name] check: $bug bug is caught ==="
-    rc=0
-    "$bin" check --seed 7 --runs 10 --adversary-rate 0.5 \
-      --inject-bug "$bug" > /dev/null || rc=$?
-    if [[ "$rc" -ne 1 ]]; then
-      echo "$bug injection was not detected (exit $rc)" >&2
-      exit 1
-    fi
+run_oracle_proofs() {
+  local proof
+  CLI="$ROOT/build-ci/$1/tools/pfrdtn"
+  for proof in "${ORACLE_PROOFS[@]}"; do
+    echo "=== [$1] check: ${proof%% *} bug is caught ==="
+    expect_caught $proof  # unquoted: the row splits into BUG FLAGS...
   done
-  echo "adversary oracles caught both injected hardening bugs"
 }
 
-# The summary-equivalence oracle must bite: with the miss fallback
-# skipped (the source answers a digest mismatch with an empty complete
-# batch), a fixed-seed summary schedule has to fail — the target
-# learns knowledge for items it never received, which the knowledge-
-# soundness probe flags — and shrink to a small reproduction. Guards
-# against the summary band silently degrading into a no-op.
-run_summary_oracle_proof() {
-  local name="$1"
-  local bin="$ROOT/build-ci/$name/tools/pfrdtn"
-  echo "=== [$name] check: summary-skip-fallback bug is caught ==="
-  local rc=0
-  "$bin" check --seed 1 --runs 10 --summary-rate 0.6 \
-    --inject-bug summary-skip-fallback > /dev/null || rc=$?
-  if [[ "$rc" -ne 1 ]]; then
-    echo "summary-skip-fallback injection was not detected (exit $rc)" >&2
-    exit 1
-  fi
-  echo "summary oracle caught the injected fallback skip"
+# Every shell script must at least parse.
+run_shell_syntax() {
+  echo "=== bash -n tools/*.sh ==="
+  local script
+  for script in "$ROOT"/tools/*.sh; do bash -n "$script"; done
 }
 
-# The retry-band oracle must bite: with retries forgetting the
-# progress already applied (each re-dial re-counts the whole batch as
-# new arrivals), a fixed-seed cut schedule has to fail the monotone-
-# progress / at-most-once probes and shrink to a small reproduction.
-# Guards against the flaky-contact band silently degrading to a no-op.
-run_retry_oracle_proof() {
-  local name="$1"
-  local bin="$ROOT/build-ci/$name/tools/pfrdtn"
-  echo "=== [$name] check: retry-forgets-progress bug is caught ==="
-  local rc=0
-  "$bin" check --seed 1876 --runs 10 --retry-max 3 --cut-rate 0.6 \
-    --inject-bug retry-forgets-progress > /dev/null || rc=$?
-  if [[ "$rc" -ne 1 ]]; then
-    echo "retry-forgets-progress injection was not detected (exit $rc)" >&2
-    exit 1
-  fi
-  echo "retry oracle caught the injected progress reset"
-}
-
+run_shell_syntax
 run_suite plain
 run_suite asan-ubsan -DPFRDTN_SANITIZE=address,undefined
 run_suite tsan -DPFRDTN_SANITIZE=thread
@@ -234,15 +170,7 @@ run_check_stage asan-ubsan 60
 # shorter corpus suffices — the races it hunts live in the server
 # tests above, which already ran under this build.
 run_check_stage tsan 40
-run_durability_oracle_proof plain
-run_durability_oracle_proof asan-ubsan
-run_diskfault_oracle_proof plain
-run_diskfault_oracle_proof asan-ubsan
-run_adversary_oracle_proof plain
-run_adversary_oracle_proof asan-ubsan
-run_summary_oracle_proof plain
-run_summary_oracle_proof asan-ubsan
-run_retry_oracle_proof plain
-run_retry_oracle_proof asan-ubsan
+run_oracle_proofs plain
+run_oracle_proofs asan-ubsan
 
 echo "CI OK"

@@ -12,48 +12,24 @@
 #      state digests afterwards,
 #   5. SIGTERM drains gracefully: bounded by --drain-ms even with a
 #      trickler in flight, exit status 0, state-dir lock released.
+# Helpers come from tools/e2e_lib.sh.
 #
 # Usage: concurrent_e2e.sh /path/to/pfrdtn [num_honest_clients]
 set -u
 
 CLI="${1:?usage: concurrent_e2e.sh /path/to/pfrdtn [clients]}"
 CLIENTS="${2:-104}"
-WORK="$(mktemp -d)"
-SERVER_PID=""
-
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-fail() {
-  echo "FAIL: $*" >&2
-  echo "--- server.log (tail) ---" >&2
-  tail -n 60 "$WORK/server.log" >&2 || true
-  for log in "$WORK"/push_*.log; do
-    grep -L "store=" "$log" > /dev/null 2>&1 || continue
-  done
-  exit 1
-}
+source "$(dirname "$0")/e2e_lib.sh"
 
 PORT_FILE="$WORK/server.port"
 
 # Quarantine windows are tiny because every client shares 127.0.0.1:
 # a chaos strike must not lock honest pushers out for long (they retry
 # through it). The 2s session deadline is what cuts the slow-loris.
-"$CLI" serve --port 0 --port-file "$PORT_FILE" --addr 42 \
-  --state-dir "$WORK/server" --workers 4 --drain-ms 500 \
-  --session-deadline-ms 2000 --io-timeout-ms 5000 \
-  --quarantine-base-ms 100 --quarantine-max-ms 300 \
-  > "$WORK/server.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  kill -0 "$SERVER_PID" 2> /dev/null || fail "server did not start"
-  sleep 0.05
-done
-[ -s "$PORT_FILE" ] || fail "server never wrote its port file"
+start_server server --addr 42 --state-dir "$WORK/server" --workers 4 \
+  --drain-ms 500 --session-deadline-ms 2000 --io-timeout-ms 5000 \
+  --quarantine-base-ms 100 --quarantine-max-ms 300 ||
+  fail "server did not start"
 
 # One honest push, retried through transient refusals (a chaos strike
 # quarantines the shared client IP for up to 300ms at a time).
@@ -71,6 +47,12 @@ push_client() {
   return 1
 }
 
+# byte_trickle LOG: a slow-loris probe the session deadline has to cut.
+byte_trickle() {
+  "$CLI" chaos --port-file "$PORT_FILE" --attack byte-trickle \
+    --trickle-delay-ms 100 --timeout-ms 8000 >> "$WORK/$1.log" 2>&1
+}
+
 # ---- 1. the storm: honest pushers + chaos, all at once --------------
 PUSH_PIDS=()
 for i in $(seq 1 "$CLIENTS"); do
@@ -79,39 +61,34 @@ for i in $(seq 1 "$CLIENTS"); do
 done
 
 # Chaos fires mid-storm: protocol violations (strikes + an immediate
-# reconnect that must be refused at accept), a mid-batch closer, and a
-# slow-loris the session deadline has to cut.
+# reconnect that must be refused at accept) and a mid-batch closer.
 "$CLI" chaos --port-file "$PORT_FILE" --attack bad-magic \
   --attack bad-magic --attack oversize-request \
   --attack close-mid-batch --timeout-ms 8000 \
-  > "$WORK/chaos.log" 2>&1 &
-CHAOS_PID=$!
-"$CLI" chaos --port-file "$PORT_FILE" --attack byte-trickle \
-  --trickle-delay-ms 100 --timeout-ms 8000 \
-  >> "$WORK/chaos_trickle.log" 2>&1 &
+  > "$WORK/chaos.log" 2>&1 || fail "chaos sweep did not run"
+
+# The slow-loris joins the storm only once the violators' quarantine
+# windows are over. Every client shares the quarantine key 127.0.0.1,
+# so a trickler dialing inside a window would be refused at accept and
+# never reach the session deadline. Each strike is recorded before the
+# server closes on its attacker, so all of them predate the chaos
+# client's exit, and no window outlasts --quarantine-max-ms 300.
+sleep 0.4
+byte_trickle chaos_trickle &
 TRICKLE_PID=$!
 
 PUSH_FAILURES=0
 for pid in "${PUSH_PIDS[@]}"; do
   wait "$pid" || PUSH_FAILURES=$((PUSH_FAILURES + 1))
 done
-wait "$CHAOS_PID" || fail "chaos sweep did not run"
 wait "$TRICKLE_PID" || fail "slow-loris probe did not run"
 kill -0 "$SERVER_PID" 2> /dev/null || fail "server died during the storm"
 [ "$PUSH_FAILURES" -eq 0 ] ||
   fail "$PUSH_FAILURES of $CLIENTS honest pushes never succeeded"
 
 # ---- 2. nothing lost: every message is on the server ----------------
-wait_for_log() {
-  local pattern="$1"
-  for _ in $(seq 1 100); do
-    grep -q "$pattern" "$WORK/server.log" && return 0
-    sleep 0.05
-  done
-  return 1
-}
 for i in $(seq 1 "$CLIENTS"); do
-  wait_for_log "body=msg_$i" || fail "message msg_$i never applied"
+  wait_for_log server "body=msg_$i" || fail "message msg_$i never applied"
 done
 
 # ---- 3. containment is visible in the logs --------------------------
@@ -127,9 +104,8 @@ sleep 0.4  # outlast the last quarantine window
 for puller in puller_a puller_b; do
   ok=""
   for _ in $(seq 1 40); do
-    if "$CLI" sync-with --host 127.0.0.1 --port-file "$PORT_FILE" \
-         --addr 42 --id 9 --state-dir "$WORK/$puller" --mode pull \
-         --timeout-ms 8000 >> "$WORK/$puller.log" 2>&1; then
+    if sync server "$puller" --addr 42 --id 9 --mode pull \
+         --timeout-ms 8000; then
       ok=1
       break
     fi
@@ -137,27 +113,16 @@ for puller in puller_a puller_b; do
   done
   [ -n "$ok" ] || fail "pull client $puller never synced"
 done
-digest_of() {
-  "$CLI" state-digest --state-dir "$WORK/$1" | grep -o 'digest=[0-9a-f]*'
-}
-DIGEST_A="$(digest_of puller_a)"
-DIGEST_B="$(digest_of puller_b)"
-[ -n "$DIGEST_A" ] || fail "no digest for puller_a"
-[ "$DIGEST_A" = "$DIGEST_B" ] ||
-  fail "pullers diverged: $DIGEST_A vs $DIGEST_B"
+same_digest puller_a puller_b "same-id pullers diverged"
 
 # ---- 5. graceful drain under load, bounded by --drain-ms ------------
-"$CLI" chaos --port-file "$PORT_FILE" --attack byte-trickle \
-  --trickle-delay-ms 100 --timeout-ms 8000 \
-  >> "$WORK/chaos_trickle.log" 2>&1 &
+byte_trickle chaos_trickle &
 DRAIN_TRICKLE_PID=$!
 sleep 0.3  # let the trickler be adopted so the drain has work to bound
-kill -TERM "$SERVER_PID"
 DRAIN_START="$(date +%s)"
-wait "$SERVER_PID"
+stop_server
 SERVER_RC=$?
 DRAIN_SECONDS=$(($(date +%s) - DRAIN_START))
-SERVER_PID=""
 wait "$DRAIN_TRICKLE_PID" 2> /dev/null
 
 [ "$SERVER_RC" -eq 0 ] || fail "SIGTERM exit status was $SERVER_RC"
@@ -170,4 +135,5 @@ DIGEST_SERVER="$(digest_of server)"
 
 echo "PASS: $CLIENTS concurrent honest pushes all landed through the" \
      "chaos storm, attackers were quarantined, same-id pullers" \
-     "converged ($DIGEST_A), and SIGTERM drained in ${DRAIN_SECONDS}s"
+     "converged ($(digest_of puller_a)), and SIGTERM drained in" \
+     "${DRAIN_SECONDS}s"

@@ -8,74 +8,39 @@
 #      that received the same messages without ever crashing.
 # A second client state directory proves client-side recovery too: the
 # client is re-run from its own --state-dir and must not re-author or
-# lose messages.
+# lose messages. Helpers come from tools/e2e_lib.sh.
 #
 # Usage: crash_e2e.sh /path/to/pfrdtn
 set -u
 
 CLI="${1:?usage: crash_e2e.sh /path/to/pfrdtn}"
-WORK="$(mktemp -d)"
-SERVER_PID=""
+source "$(dirname "$0")/e2e_lib.sh"
 
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
-  rm -rf "$WORK"
+# Every server serves address 42 for one session; every client pushes
+# from address 7.
+serve_once() {
+  start_server "$1" --state-dir "$WORK/$1" --addr 42 --max-sessions 1 \
+    "${@:2}"
 }
-trap cleanup EXIT
-
-fail() {
-  echo "FAIL: $*" >&2
-  for log in "$WORK"/*.log; do
-    echo "--- $log ---" >&2
-    cat "$log" >&2 || true
-  done
-  exit 1
-}
-
-# start_server <name> <extra-args...>: serves address 42, one session.
-start_server() {
-  local name="$1"
-  shift
-  rm -f "$WORK/$name.port"
-  "$CLI" serve --port 0 --port-file "$WORK/$name.port" --addr 42 \
-    --state-dir "$WORK/$name" --max-sessions 1 "$@" \
-    >> "$WORK/$name.log" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    [ -s "$WORK/$name.port" ] && break
-    kill -0 "$SERVER_PID" 2> /dev/null || return 1
-    sleep 0.05
-  done
-  [ -s "$WORK/$name.port" ]
-}
-
-# sync <server-name> <client-state> <extra-args...>
-sync() {
-  local name="$1" client="$2"
-  shift 2
-  "$CLI" sync-with --host 127.0.0.1 --port-file "$WORK/$name.port" \
-    --addr 7 --state-dir "$WORK/$client" --mode push "$@" \
-    >> "$WORK/$client.log" 2>&1
-}
+PUSH=(--addr 7 --mode push)
 
 # --- crashed pair ----------------------------------------------------
 
-start_server crashed || fail "server (run 1) failed to start"
-sync crashed client \
+serve_once crashed || fail "server (run 1) failed to start"
+sync crashed client "${PUSH[@]}" \
   --send 42=m1 --send 42=m2 --send 42=m3 \
   || fail "initial push failed"
-wait "$SERVER_PID" || fail "server (run 1) exited non-zero"
-SERVER_PID=""
+wait_server || fail "server (run 1) exited non-zero"
 
 # Run 2: the client authors three more messages; the server SIGKILLs
 # itself mid-batch (after 2 WAL records: the startup filter record plus
 # the first applied item), leaving a partially applied batch behind.
-start_server crashed --kill-after-records 2 \
+serve_once crashed --kill-after-records 2 \
   || fail "server (run 2) failed to start"
-sync crashed client --send 42=m4 --send 42=m5 --send 42=m6 || true
-wait "$SERVER_PID"
+sync crashed client "${PUSH[@]}" --send 42=m4 --send 42=m5 --send 42=m6 \
+  || true
+wait_server
 [ $? -eq 137 ] || fail "server (run 2) was not SIGKILLed as arranged"
-SERVER_PID=""
 
 grep -q "recovered replica" "$WORK/crashed.log" \
   || fail "server (run 2) did not recover from its state directory"
@@ -84,37 +49,23 @@ grep -q "recovered replica" "$WORK/crashed.log" \
 # the torn batch — and let the client re-sync the remainder. The client
 # re-runs from its own state directory with no --send: its six authored
 # messages are durable, not re-authored.
-start_server crashed || fail "server (run 3) failed to start"
-sync crashed client || fail "re-sync after crash failed"
-wait "$SERVER_PID" || fail "server (run 3) exited non-zero"
-SERVER_PID=""
+serve_once crashed || fail "server (run 3) failed to start"
+sync crashed client "${PUSH[@]}" || fail "re-sync after crash failed"
+wait_server || fail "server (run 3) exited non-zero"
 
 # --- control pair: same six messages, no crash -----------------------
 
-start_server control || fail "control server failed to start"
-sync control control_client \
+serve_once control || fail "control server failed to start"
+sync control control_client "${PUSH[@]}" \
   --send 42=m1 --send 42=m2 --send 42=m3 \
   --send 42=m4 --send 42=m5 --send 42=m6 \
   || fail "control push failed"
-wait "$SERVER_PID" || fail "control server exited non-zero"
-SERVER_PID=""
+wait_server || fail "control server exited non-zero"
 
 # --- compare ---------------------------------------------------------
 
-for name in crashed control; do
-  "$CLI" state-digest --state-dir "$WORK/$name" \
-    > "$WORK/$name.digest" 2>> "$WORK/$name.log" \
-    || fail "state-digest failed for $name"
-done
-
-CRASHED_DIGEST="$(grep '^digest=' "$WORK/crashed.digest")"
-CONTROL_DIGEST="$(grep '^digest=' "$WORK/control.digest")"
-[ -n "$CRASHED_DIGEST" ] || fail "no digest line for crashed server"
-if [ "$CRASHED_DIGEST" != "$CONTROL_DIGEST" ]; then
-  echo "--- crashed ---" >&2; cat "$WORK/crashed.digest" >&2
-  echo "--- control ---" >&2; cat "$WORK/control.digest" >&2
-  fail "crashed+recovered state diverged from the never-crashed control"
-fi
+same_digest crashed control \
+  "crashed+recovered state diverged from the never-crashed control"
 
 # All six deliveries must have been reported across the server's runs.
 for m in m1 m2 m3 m4 m5 m6; do
@@ -123,4 +74,4 @@ for m in m1 m2 m3 m4 m5 m6; do
 done
 
 echo "PASS: crash + recovery converged byte-identically to the control"
-echo "  $CRASHED_DIGEST"
+grep '^digest=' "$WORK/crashed.digest" | sed 's/^/  /'

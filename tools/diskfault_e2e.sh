@@ -12,63 +12,20 @@
 #      a control server that never saw a fault.
 # Then checkpoint generations: corrupt the newest checkpoint of a
 # multi-generation directory and state-digest must fall back one
-# generation and report the identical digest.
+# generation and report the identical digest. Helpers come from
+# tools/e2e_lib.sh; server stderr lands in NAME.err.
 #
 # Usage: diskfault_e2e.sh /path/to/pfrdtn
 set -u
 
 CLI="${1:?usage: diskfault_e2e.sh /path/to/pfrdtn}"
-WORK="$(mktemp -d)"
-SERVER_PID=""
+source "$(dirname "$0")/e2e_lib.sh"
+SERVER_STDERR=err
 
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-fail() {
-  echo "FAIL: $*" >&2
-  for log in "$WORK"/*.log "$WORK"/*.err; do
-    [ -e "$log" ] || continue
-    echo "--- $log ---" >&2
-    cat "$log" >&2 || true
-  done
-  exit 1
-}
-
-# start_server <name> <extra-args...>: serves address 42 until SIGTERM.
-start_server() {
-  local name="$1"
-  shift
-  rm -f "$WORK/$name.port"
-  "$CLI" serve --port 0 --port-file "$WORK/$name.port" --addr 42 \
-    --state-dir "$WORK/$name" --drain-ms 2000 "$@" \
-    >> "$WORK/$name.log" 2>> "$WORK/$name.err" &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    [ -s "$WORK/$name.port" ] && break
-    kill -0 "$SERVER_PID" 2> /dev/null || return 1
-    sleep 0.05
-  done
-  [ -s "$WORK/$name.port" ]
-}
-
-stop_server() {
-  kill -TERM "$SERVER_PID"
-  wait "$SERVER_PID"
-  local rc=$?
-  SERVER_PID=""
-  return $rc
-}
-
-# sync <server-name> <client-state> <extra-args...>; echoes exit code.
-sync() {
-  local name="$1" client="$2"
-  shift 2
-  "$CLI" sync-with --host 127.0.0.1 --port-file "$WORK/$name.port" \
-    --state-dir "$WORK/$client" "$@" \
-    >> "$WORK/$client.log" 2>&1
+# serve NAME EXTRA...: serves address 42 until SIGTERM.
+serve() {
+  start_server "$1" --state-dir "$WORK/$1" --addr 42 --drain-ms 2000 \
+    "${@:2}"
 }
 
 # --- 1. fill the disk under load ------------------------------------
@@ -76,7 +33,7 @@ sync() {
 # The byte budget admits the boot records plus a few pushed items, then
 # every write returns ENOSPC. Payloads are sized so the budget is
 # crossed within the first few sessions.
-start_server victim --disk-fault-after-bytes 900 \
+serve victim --disk-fault-after-bytes 900 \
   || fail "victim server failed to start"
 
 PAYLOAD="abcdefghijklmnopqrstuvwxyz-0123456789-abcdefghijklmnopqrstuvwxyz"
@@ -125,7 +82,7 @@ grep -q "degraded=1" "$WORK/victim.log" \
 
 # --- 4. healthy restart: recover, re-sync, converge ------------------
 
-start_server victim || fail "victim failed to restart healthy"
+serve victim || fail "victim failed to restart healthy"
 grep -q "recovered replica" "$WORK/victim.log" \
   || fail "restarted victim did not recover from its state directory"
 for i in $(seq 1 8); do
@@ -136,42 +93,32 @@ stop_server || fail "healthy victim did not drain clean"
 grep -q "degraded=0" <(tail -5 "$WORK/victim.log") \
   || fail "restarted victim still reports degraded"
 
-start_server control || fail "control server failed to start"
+serve control || fail "control server failed to start"
 for i in $(seq 1 8); do
   sync control "client$i" --addr $((100 + i)) --mode push \
     || fail "control sync of client $i failed"
 done
 stop_server || fail "control server did not drain clean"
 
-for name in victim control; do
-  "$CLI" state-digest --state-dir "$WORK/$name" \
-    > "$WORK/$name.digest" 2>> "$WORK/$name.err" \
-    || fail "state-digest failed for $name"
-done
-VICTIM_DIGEST="$(grep '^digest=' "$WORK/victim.digest")"
-CONTROL_DIGEST="$(grep '^digest=' "$WORK/control.digest")"
-[ -n "$VICTIM_DIGEST" ] || fail "no digest line for the victim"
-if [ "$VICTIM_DIGEST" != "$CONTROL_DIGEST" ]; then
-  echo "--- victim ---" >&2; cat "$WORK/victim.digest" >&2
-  echo "--- control ---" >&2; cat "$WORK/control.digest" >&2
-  fail "victim diverged from the never-faulted control"
-fi
+same_digest victim control "victim diverged from the never-faulted control"
 grep -q "^degraded=0" "$WORK/victim.digest" \
   || fail "victim state directory still carries the degraded marker"
 
 # --- 5. checkpoint generations: corrupt the newest, fall back --------
 
-start_server gen --checkpoint-every-bytes 64 --checkpoint-generations 3 \
+serve gen --checkpoint-every-bytes 64 --checkpoint-generations 3 \
   || fail "generation server failed to start"
 sync gen genclient --addr 7 --id 7 --mode push \
   --send 42=g1 --send 42=g2 --send 42=g3 --send 42=g4 \
   || fail "generation push failed"
 stop_server || fail "generation server did not drain clean"
 
-"$CLI" state-digest --state-dir "$WORK/gen" > "$WORK/gen.digest" \
+# A copy of the directory keeps the pre-corruption state to compare to.
+cp -r "$WORK/gen" "$WORK/gen_before"
+[ -n "$(digest_of gen_before)" ] \
   || fail "state-digest failed for the generation directory"
-GEN_DIGEST="$(grep '^digest=' "$WORK/gen.digest")"
-NEWEST="$(sed -n 's/.*newest_epoch=\([0-9]*\).*/\1/p' "$WORK/gen.digest")"
+NEWEST="$(sed -n 's/.*newest_epoch=\([0-9]*\).*/\1/p' \
+  "$WORK/gen_before.digest")"
 [ -n "$NEWEST" ] && [ "$NEWEST" -ge 2 ] \
   || fail "expected >= 2 checkpoint generations, newest=$NEWEST"
 
@@ -179,17 +126,10 @@ NEWEST="$(sed -n 's/.*newest_epoch=\([0-9]*\).*/\1/p' "$WORK/gen.digest")"
 # recovery must land on the previous generation with the same state.
 printf '\xff' | dd of="$WORK/gen/checkpoint.$NEWEST.bin" bs=1 seek=8 \
   conv=notrunc 2> /dev/null || fail "could not corrupt the checkpoint"
-"$CLI" state-digest --state-dir "$WORK/gen" > "$WORK/gen2.digest" \
-  || fail "state-digest did not survive a corrupt newest checkpoint"
-grep -q "fallback=1" "$WORK/gen2.digest" \
+same_digest gen gen_before "generation fallback changed the recovered state"
+grep -q "fallback=1" "$WORK/gen.digest" \
   || fail "recovery did not report falling back a generation"
-GEN2_DIGEST="$(grep '^digest=' "$WORK/gen2.digest")"
-if [ "$GEN_DIGEST" != "$GEN2_DIGEST" ]; then
-  echo "--- before ---" >&2; cat "$WORK/gen.digest" >&2
-  echo "--- after ---" >&2; cat "$WORK/gen2.digest" >&2
-  fail "generation fallback changed the recovered state"
-fi
 
 echo "PASS: degraded read-only under ENOSPC, refused pushes converged" \
   "after a healthy restart, generation fallback kept the digest"
-echo "  $VICTIM_DIGEST"
+grep '^digest=' "$WORK/victim.digest" | sed 's/^/  /'

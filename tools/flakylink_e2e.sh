@@ -13,64 +13,19 @@
 #      with the structured transient Busy error (exit 3, no strike);
 #      with retries enabled the same push waits the occupant out and
 #      lands — shed, then recover.
+# Helpers come from tools/e2e_lib.sh; server stderr lands in NAME.err.
 #
 # Usage: flakylink_e2e.sh /path/to/pfrdtn
 set -u
 
 CLI="${1:?usage: flakylink_e2e.sh /path/to/pfrdtn}"
-WORK="$(mktemp -d)"
-SERVER_PID=""
-CHAOS_PID=""
+source "$(dirname "$0")/e2e_lib.sh"
+SERVER_STDERR=err
 
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
-  [ -n "$CHAOS_PID" ] && kill "$CHAOS_PID" 2> /dev/null
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-fail() {
-  echo "FAIL: $*" >&2
-  for log in "$WORK"/*.log "$WORK"/*.err; do
-    [ -e "$log" ] || continue
-    echo "--- $log ---" >&2
-    cat "$log" >&2 || true
-  done
-  exit 1
-}
-
-# start_server <name> <extra-args...>: serves address 42 until SIGTERM.
-start_server() {
-  local name="$1"
-  shift
-  rm -f "$WORK/$name.port"
-  "$CLI" serve --port 0 --port-file "$WORK/$name.port" --addr 42 \
-    --state-dir "$WORK/$name" --drain-ms 2000 "$@" \
-    >> "$WORK/$name.log" 2>> "$WORK/$name.err" &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    [ -s "$WORK/$name.port" ] && break
-    kill -0 "$SERVER_PID" 2> /dev/null || return 1
-    sleep 0.05
-  done
-  [ -s "$WORK/$name.port" ]
-}
-
-stop_server() {
-  kill -TERM "$SERVER_PID"
-  wait "$SERVER_PID"
-  local rc=$?
-  SERVER_PID=""
-  return $rc
-}
-
-# sync <server-name> <client-state> <extra-args...>
-sync() {
-  local name="$1" client="$2"
-  shift 2
-  "$CLI" sync-with --host 127.0.0.1 --port-file "$WORK/$name.port" \
-    --state-dir "$WORK/$client" "$@" \
-    >> "$WORK/$client.log" 2>&1
+# serve NAME EXTRA...: serves address 42 until SIGTERM.
+serve() {
+  start_server "$1" --state-dir "$WORK/$1" --addr 42 --drain-ms 2000 \
+    "${@:2}"
 }
 
 # --- 1. convergence through a flaky link -----------------------------
@@ -79,7 +34,7 @@ sync() {
 # byte offset small enough to land inside every session; each client
 # additionally cuts / stalls / truncates its own side. Only the
 # retrying contact discipline gets a push through this.
-start_server flaky --link-fault-rate 0.5 --link-fault-seed 3 \
+serve flaky --link-fault-rate 0.5 --link-fault-seed 3 \
   --link-fault-max-bytes 150 \
   || fail "flaky server failed to start"
 
@@ -106,30 +61,18 @@ INJECTED="$(sed -n 's/.*link_faults_injected=\([0-9]*\).*/\1/p' \
 
 # The control never faults anywhere; the same clients re-push their
 # durable state cleanly.
-start_server control || fail "control server failed to start"
+serve control || fail "control server failed to start"
 for i in $(seq 1 6); do
   sync control "client$i" --addr $((100 + i)) --mode push \
     || fail "control push of client $i failed"
 done
 stop_server || fail "control server did not drain clean"
 
-for name in flaky control; do
-  "$CLI" state-digest --state-dir "$WORK/$name" \
-    > "$WORK/$name.digest" 2>> "$WORK/$name.err" \
-    || fail "state-digest failed for $name"
-done
-FLAKY_DIGEST="$(grep '^digest=' "$WORK/flaky.digest")"
-CONTROL_DIGEST="$(grep '^digest=' "$WORK/control.digest")"
-[ -n "$FLAKY_DIGEST" ] || fail "no digest line for the flaky server"
-if [ "$FLAKY_DIGEST" != "$CONTROL_DIGEST" ]; then
-  echo "--- flaky ---" >&2; cat "$WORK/flaky.digest" >&2
-  echo "--- control ---" >&2; cat "$WORK/control.digest" >&2
-  fail "retried pushes diverged from the fault-free control"
-fi
+same_digest flaky control "retried pushes diverged from the fault-free control"
 
 # --- 2. shed at the session cap, then recover ------------------------
 
-start_server shed --max-concurrent-sessions 1 --workers 2 \
+serve shed --max-concurrent-sessions 1 --workers 2 \
   || fail "shedding server failed to start"
 
 # A byte-trickling peer (a legal, non-violating slow client) occupies
@@ -168,12 +111,10 @@ SHED="$(sed -n 's/.*shed=\([0-9]*\).*/\1/p' "$WORK/shed.log" | tail -1)"
   || fail "the server's summary does not count the shed connection"
 
 # The recovered push really landed: the drained state holds the item.
-"$CLI" state-digest --state-dir "$WORK/shed" > "$WORK/shed.digest" \
-  || fail "state-digest failed for the shedding server"
-grep -q '^digest=' "$WORK/shed.digest" \
+[ -n "$(digest_of shed)" ] \
   || fail "no digest line for the shedding server"
 
 echo "PASS: retried pushes converged byte-identically through a" \
   "two-sided flaky link ($INJECTED server faults injected, no honest" \
   "quarantine), and the session cap shed with Busy then recovered"
-echo "  $FLAKY_DIGEST"
+grep '^digest=' "$WORK/flaky.digest" | sed 's/^/  /'

@@ -14,98 +14,40 @@
 # lying-count-short — the one attack that applies an item before its
 # lie is detectable — runs against a separate sacrificial server, so
 # the digest comparison stays exact while the attack still proves
-# containment + quarantine.
+# containment + quarantine. Helpers come from tools/e2e_lib.sh.
 #
 # Usage: hostile_e2e.sh /path/to/pfrdtn
 set -u
 
 CLI="${1:?usage: hostile_e2e.sh /path/to/pfrdtn}"
-WORK="$(mktemp -d)"
-SERVER_PID=""
-
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-fail() {
-  echo "FAIL: $*" >&2
-  for log in "$WORK"/*.log; do
-    echo "--- $log ---" >&2
-    cat "$log" >&2 || true
-  done
-  exit 1
-}
+source "$(dirname "$0")/e2e_lib.sh"
 
 # Small quarantine windows keep the sweep fast; the 2s session deadline
 # is what cuts byte-trickle; io-timeout stays high so the deadline (not
 # the per-op timeout) is provably the cutter.
-SERVE_FLAGS=(--addr 42 --session-deadline-ms 2000 --io-timeout-ms 5000
-             --quarantine-base-ms 200 --quarantine-max-ms 1000)
-
-# start_server <name>: serve forever until killed.
-start_server() {
-  local name="$1"
-  rm -f "$WORK/$name.port"
-  "$CLI" serve --port 0 --port-file "$WORK/$name.port" \
-    --state-dir "$WORK/$name" "${SERVE_FLAGS[@]}" \
-    >> "$WORK/$name.log" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 1 100); do
-    [ -s "$WORK/$name.port" ] && break
-    kill -0 "$SERVER_PID" 2> /dev/null || return 1
-    sleep 0.05
-  done
-  [ -s "$WORK/$name.port" ]
+serve() {
+  start_server "$1" --state-dir "$WORK/$1" --addr 42 \
+    --session-deadline-ms 2000 --io-timeout-ms 5000 \
+    --quarantine-base-ms 200 --quarantine-max-ms 1000
 }
 
-stop_server() {
-  kill "$SERVER_PID" 2> /dev/null
-  wait "$SERVER_PID" 2> /dev/null
-  SERVER_PID=""
-}
-
-# The client returns as soon as ITS side of the sync is done; the
-# server is still applying the push, logging WAL records, and
-# reporting deliveries. Wait for its log to prove the session (and
-# therefore every durable record) finished before killing it, or the
-# digest comparison races the server's tail writes.
-wait_for_log() {
-  local name="$1" pattern="$2"
-  for _ in $(seq 1 100); do
-    grep -q "$pattern" "$WORK/$name.log" && return 0
-    sleep 0.05
-  done
-  return 1
-}
-
-# honest_sync <server-name> <client-state-dir>: identical in the
-# control and attacked runs, so the digests must come out identical.
-honest_sync() {
-  local name="$1" client="$2"
-  "$CLI" sync-with --host 127.0.0.1 --port-file "$WORK/$name.port" \
-    --addr 7 --id 9 --state-dir "$WORK/$client" --mode encounter \
-    --send 42=first --send 42=second \
-    >> "$WORK/$client.log" 2>&1
-}
-
-digest_of() {
-  "$CLI" state-digest --state-dir "$WORK/$1" | grep -o 'digest=[0-9a-f]*'
-}
+# Identical in the control and attacked runs, so the digests must come
+# out identical.
+HONEST=(--addr 7 --id 9 --mode encounter --send 42=first --send 42=second)
 
 # ---- 1. control: the attack never happened --------------------------
-start_server control_server || fail "control server did not start"
-honest_sync control_server control_client || fail "control sync failed"
+serve control_server || fail "control server did not start"
+sync control_server control_client "${HONEST[@]}" ||
+  fail "control sync failed"
+# The server is still applying the push when the client returns; its
+# log proves the session (and every durable record) finished before
+# the digest is taken.
 wait_for_log control_server "body=second" ||
   fail "control server never finished the session"
 stop_server
-CONTROL_SERVER_DIGEST="$(digest_of control_server)"
-CONTROL_CLIENT_DIGEST="$(digest_of control_client)"
-[ -n "$CONTROL_SERVER_DIGEST" ] || fail "no control server digest"
 
 # ---- 2. the sweep: every attack against one live server -------------
-start_server attacked_server || fail "attacked server did not start"
+serve attacked_server || fail "attacked server did not start"
 PORT_FILE="$WORK/attacked_server.port"
 
 for attack in $("$CLI" chaos --list); do
@@ -136,20 +78,20 @@ grep -q "reject \[" "$WORK/attacked_server.log" ||
 
 # ---- 4. honest convergence after the storm --------------------------
 sleep 1.2  # outlast the final quarantine window
-honest_sync attacked_server attacked_client ||
+sync attacked_server attacked_client "${HONEST[@]}" ||
   fail "honest sync after the sweep failed"
 wait_for_log attacked_server "body=second" ||
   fail "attacked server never finished the honest session"
 kill -0 "$SERVER_PID" 2> /dev/null || fail "server died before shutdown"
 stop_server
 
-[ "$(digest_of attacked_server)" = "$CONTROL_SERVER_DIGEST" ] ||
-  fail "attacked server digest diverged from control"
-[ "$(digest_of attacked_client)" = "$CONTROL_CLIENT_DIGEST" ] ||
-  fail "honest client digest diverged from control"
+same_digest attacked_server control_server \
+  "attacked server digest diverged from control"
+same_digest attacked_client control_client \
+  "honest client digest diverged from control"
 
 # ---- 5. lying-count-short: contained on a sacrificial server --------
-start_server sacrificial_server || fail "sacrificial server did not start"
+serve sacrificial_server || fail "sacrificial server did not start"
 "$CLI" chaos --port-file "$WORK/sacrificial_server.port" \
   --attack lying-count-short >> "$WORK/chaos.log" 2>&1
 kill -0 "$SERVER_PID" 2> /dev/null ||

@@ -1,16 +1,11 @@
-/// pfrdtn — command-line front end for the library.
+/// pfrdtn — command-line front end for the library; `pfrdtn --help`
+/// lists every subcommand and flag.
 ///
-/// Subcommands:
-///   gen-mobility  generate a synthetic DieselNet-like encounter trace
-///   gen-email     generate a synthetic Enron-like message workload
-///   run           run one emulation (generated or file-based traces)
-///   serve         host a replica, accepting sync sessions over TCP
-///   sync-with     synchronize with a serving replica over TCP
-///   chaos         attack a serving replica with scripted hostile-peer
-///                 probes (see docs/hardening.md)
-///   state-digest  print the digest of a crash-durable state directory
-///   check         run randomized fault-schedule invariant checks over
-///                 the real sync stack (see docs/checking.md)
+/// Every flag is declared once — name, metavar, help line and a typed
+/// setter — in a table per subcommand, composed from shared groups
+/// (Endpoint, Dial, Node). The parse loop, its `unknown flag` /
+/// `needs a value` / malformed-value errors (exit 2) and the usage text
+/// are all generated from those declarations.
 ///
 /// Examples:
 ///   pfrdtn gen-mobility --days 17 --seed 4 --out mob.txt
@@ -32,14 +27,22 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/harness.hpp"
@@ -62,126 +65,275 @@ namespace {
 
 using namespace pfrdtn;
 
-[[noreturn]] void usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fputs(
-      "usage: pfrdtn <command> [options]\n"
-      "\n"
-      "commands:\n"
-      "  gen-mobility --out FILE [--days N] [--fleet N] [--buses N]\n"
-      "               [--seed S]\n"
-      "  gen-email    --out FILE [--users N] [--messages N] [--seed S]\n"
-      "  run          [--policy NAME] [--param KEY=VALUE]...\n"
-      "               [--strategy self|random|selected] [--k N]\n"
-      "               [--bandwidth N] [--storage N] [--seed S]\n"
-      "               [--mobility FILE] [--email FILE] [--csv FILE]\n"
-      "               [--scale X]\n"
-      "  serve        --port N [--port-file FILE] --addr A [--addr A]...\n"
-      "               [--id N] [--max-sessions N] [--bandwidth N]\n"
-      "               [--workers N] [--drain-ms N]\n"
-      "               [--state-dir DIR] [--kill-after-records N]\n"
-      "               [--checkpoint-every-bytes N]\n"
-      "               [--checkpoint-generations N]\n"
-      "               [--disk-fault-rate X] [--disk-fault-seed S]\n"
-      "               [--disk-fault-after-bytes N]\n"
-      "               [--io-timeout-ms N] [--session-deadline-ms N]\n"
-      "               [--quarantine-base-ms N] [--quarantine-max-ms N]\n"
-      "               [--max-concurrent-sessions N]\n"
-      "               [--link-fault-rate X] [--link-fault-seed S]\n"
-      "               [--link-fault-max-bytes N]\n"
-      "               [--max-request-bytes N] [--max-item-bytes N]\n"
-      "               [--max-batch-items N] [--summary-mode on|off|auto]\n"
-      "  sync-with    --host H --port N [--port-file FILE] --addr A\n"
-      "               [--send DEST=BODY]... [--mode pull|push|encounter]\n"
-      "               [--id N] [--bandwidth N] [--timeout-ms N]\n"
-      "               [--state-dir DIR] [--retries N] [--retry-base-ms N]\n"
-      "               [--retry-max N] [--retry-budget-ms N]\n"
-      "               [--link-fault-rate X] [--link-fault-seed S]\n"
-      "               [--link-fault-max-bytes N]\n"
-      "               [--disk-fault-rate X] [--disk-fault-seed S]\n"
-      "               [--disk-fault-after-bytes N]\n"
-      "               [--summary-mode on|off|auto]\n"
-      "  chaos        --host H (--port N | --port-file FILE)\n"
-      "               (--attack NAME | --all | --list)\n"
-      "               [--trickle-delay-ms N] [--timeout-ms N]\n"
-      "  state-digest --state-dir DIR\n"
-      "  check        [--seed S] [--runs N] [--replay S] [--log]\n"
-      "               [--replicas N] [--steps N] [--addresses N]\n"
-      "               [--cut-rate X] [--cap-rate X] [--throttle-rate X]\n"
-      "               [--filter-rate X] [--discard-rate X] [--storage N]\n"
-      "               [--crash-rate X] [--adversary-rate X] [--quiesce N]\n"
-      "               [--summary-rate X] [--summary-collision-rate X]\n"
-      "               [--disk-fault-rate X] [--retry-max N]\n"
-      "               [--no-shrink] [--shrink-budget N]\n"
-      "               [--inject-bug learn-truncated|skip-fsync|\n"
-      "                             skip-limit-check|no-deadline|\n"
-      "                             summary-skip-fallback|\n"
-      "                             ack-before-fsync|\n"
-      "                             retry-forgets-progress]\n"
-      "\n"
-      "policies: cimbiosys prophet spray epidemic maxprop\n"
-      "          first-contact two-hop p-epidemic\n",
-      stderr);
-  std::exit(error == nullptr ? 0 : 2);
+/// Print `error` (if any) and the generated usage text to stderr, then
+/// exit: 0 for a plain help request, 2 for a usage error.
+[[noreturn]] void usage(const std::string& error = "");
+
+/// One command-line flag, declared once.
+struct Flag {
+  std::string name;
+  /// Placeholder in usage(); empty for a switch, which takes no value.
+  std::string metavar;
+  std::string help;
+  /// Applies the flag: gets the value text (nullptr for a switch) and
+  /// throws std::invalid_argument when it does not parse or fit.
+  std::function<void(const char*)> set;
+  /// The "schedule" mark (check only): the flag changes schedule
+  /// generation, so the parse loop re-quotes it here as typed and the
+  /// replay hint regenerates the same schedules.
+  std::string* replay = nullptr;
+};
+using Flags = std::vector<Flag>;
+
+Flags join(std::initializer_list<Flags> groups) {
+  Flags out;
+  for (const Flags& group : groups)
+    out.insert(out.end(), group.begin(), group.end());
+  return out;
 }
 
-/// Minimal flag cursor over argv.
-class Args {
- public:
-  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
-
-  [[nodiscard]] bool done() const { return index_ >= argc_; }
-  const char* next() {
-    if (done()) usage("missing argument");
-    return argv_[index_++];
+/// The whole of `text` as a T: a finite number for double, a
+/// non-negative integer within T's range for integers.
+template <typename T>
+T parse(const char* text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    const char* end = text + std::strlen(text);
+    T value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value))
+      throw std::invalid_argument(std::string("'") + text +
+                                  "' is not a number");
+    return value;
+  } else {
+    const char* end = text + std::strlen(text);
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end ||
+        value > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+      throw std::invalid_argument(
+          std::string("'") + text + "' is not an integer in [0, " +
+          std::to_string(std::numeric_limits<T>::max()) + "]");
+    return static_cast<T>(value);
   }
-  const char* value(const char* flag) {
-    if (done()) usage((std::string(flag) + " needs a value").c_str());
-    return argv_[index_++];
-  }
+}
 
- private:
-  int argc_;
-  char** argv_;
-  int index_ = 0;
+template <typename T>
+std::function<void(const char*)> set(T& field) {
+  return [&field](const char* text) { field = parse<T>(text); };
+}
+
+template <typename T>
+std::function<void(const char*)> set(std::optional<T>& field) {
+  return [&field](const char* text) { field = parse<T>(text); };
+}
+
+std::function<void(const char*)> set_rate(double& field) {
+  return [&field](const char* text) {
+    field = parse<double>(text);
+    if (field < 0.0 || field > 1.0)
+      throw std::invalid_argument("rates must be in [0, 1]");
+  };
+}
+
+template <typename T>
+std::function<void(const char*)> set_positive(T& field) {
+  return [&field](const char* text) {
+    field = parse<T>(text);
+    if (field < 1) throw std::invalid_argument("must be >= 1");
+  };
+}
+
+Flag toggle(std::string name, std::string help, bool& field,
+            bool value = true) {
+  return {std::move(name), "", std::move(help),
+          [&field, value](const char*) { field = value; }};
+}
+
+/// A name → value table: parser and metavar read the same entries.
+template <typename T>
+using Choices = std::vector<std::pair<std::string, T>>;
+
+template <typename T>
+std::string names_of(const Choices<T>& choices) {
+  std::string names;
+  for (const auto& [name, value] : choices)
+    names += (names.empty() ? "" : "|") + name;
+  return names;
+}
+
+template <typename T>
+T pick(const Choices<T>& choices, const char* text) {
+  for (const auto& [name, value] : choices)
+    if (name == text) return value;
+  throw std::invalid_argument(std::string("unknown value '") + text +
+                              "' (want " + names_of(choices) + ")");
+}
+
+/// `text` split at its first '=' (`form` names the expected shape).
+std::pair<std::string, std::string> split_pair(const char* text,
+                                               const char* form) {
+  const std::string pair = text;
+  const auto eq = pair.find('=');
+  if (eq == std::string::npos)
+    throw std::invalid_argument(std::string("expects ") + form);
+  return {pair.substr(0, eq), pair.substr(eq + 1)};
+}
+
+template <typename T>
+Flag choice(std::string name, std::string help, T& field,
+            Choices<T> choices) {
+  std::string metavar = names_of(choices);
+  return {std::move(name), std::move(metavar), std::move(help),
+          [&field, choices = std::move(choices)](const char* text) {
+            field = pick(choices, text);
+          }};
+}
+
+/// Apply argv's flags. Unknown flags, missing values and malformed
+/// values are usage errors.
+void parse_flags(int argc, char** argv, const Flags& flags) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string name = argv[i];
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& f) { return f.name == name; });
+    if (flag == flags.end()) usage("unknown flag " + name);
+    const char* value = nullptr;
+    if (!flag->metavar.empty()) {
+      if (++i == argc) usage(name + " needs a value");
+      value = argv[i];
+    }
+    try {
+      flag->set(value);
+    } catch (const std::invalid_argument& bad) {
+      usage(name + ": " + bad.what());
+    }
+    if (flag->replay != nullptr) *flag->replay += " " + name + " " + value;
+  }
+}
+
+/// `text` padded with spaces to `width`, and at least one space.
+std::string pad(std::string text, std::size_t width) {
+  text.resize(std::max(width, text.size() + 1), ' ');
+  return text;
+}
+
+void describe(const Flags& flags, std::string& out) {
+  for (const Flag& flag : flags) {
+    const std::string metavar = flag.metavar.empty() ? "" : " " + flag.metavar;
+    out += pad("      " + flag.name + metavar, 36) + flag.help + "\n";
+  }
+}
+
+/// --port / --port-file, shared by serve, sync-with and chaos. serve
+/// listens on the port (0 = ephemeral) and writes the bound port to
+/// the file; the clients dial it, reading it from the file if given.
+struct Endpoint {
+  std::optional<std::uint16_t> port;
+  std::string file;
+
+  Flags flags();
 };
 
-std::uint64_t parse_u64(const char* text) {
-  return static_cast<std::uint64_t>(std::strtoull(text, nullptr, 10));
+Flags Endpoint::flags() {
+  return {{"--port", "N", "TCP port (serve: 0 = ephemeral)", set(port)},
+          {"--port-file", "FILE",
+           "serve writes its port here; clients read it", set(file)}};
 }
 
-double parse_rate(const char* text) {
-  const double rate = std::strtod(text, nullptr);
-  if (rate < 0.0 || rate > 1.0) usage("rates must be in [0, 1]");
-  return rate;
+/// How sync-with and chaos reach a serving replica.
+struct Dial {
+  std::string host = "127.0.0.1";
+  Endpoint endpoint;
+  net::TcpOptions tcp;
+
+  Flags flags();
+
+  /// The server's port: from --port-file when given, else --port.
+  [[nodiscard]] std::uint16_t port(const std::string& command) const {
+    unsigned port = endpoint.port.value_or(0);
+    if (!endpoint.file.empty()) {
+      std::ifstream in(endpoint.file);
+      if (!(in >> port) || port > std::numeric_limits<std::uint16_t>::max())
+        throw ContractViolation("cannot read port from " + endpoint.file);
+    }
+    if (port == 0) usage(command + " requires --port or --port-file");
+    return static_cast<std::uint16_t>(port);
+  }
+};
+
+Flags Dial::flags() {
+  return join({{{"--host", "H", "server host (default 127.0.0.1)",
+                 set(host)}},
+               endpoint.flags(),
+               {{"--timeout-ms", "N", "connect and per-operation timeout",
+                 [this](const char* text) {
+                   tcp.connect_timeout_ms = tcp.io_timeout_ms =
+                       parse<int>(text);
+                 }}}});
 }
 
-repl::SummaryMode parse_summary_mode(const std::string& name) {
-  if (name == "on") return repl::SummaryMode::On;
-  if (name == "off") return repl::SummaryMode::Off;
-  if (name == "auto") return repl::SummaryMode::Auto;
-  usage("unknown --summary-mode (want on|off|auto)");
+/// The replica serve and sync-with host: its addresses, identity and
+/// state directory, and the faults and summary mode its sessions run
+/// under. serve hosts every --addr; sync-with takes one (the last).
+struct Node {
+  std::vector<std::uint64_t> addrs;
+  std::optional<std::uint64_t> id;
+  std::string state_dir;
+  repl::SyncOptions sync;
+  persist::FaultPlan disk;
+  net::LinkFaultPlan link;
+
+  Flags flags();
+};
+
+Flags Node::flags() {
+  return {
+      {"--addr", "A", "hosted address (serve: repeatable)",
+       [this](const char* text) {
+         addrs.push_back(parse<std::uint64_t>(text));
+       }},
+      {"--id", "N", "replica id unless --state-dir recovers one", set(id)},
+      {"--state-dir", "DIR", "crash-durable replica state", set(state_dir)},
+      {"--bandwidth", "N", "items per sync", set(sync.max_items)},
+      {"--disk-fault-rate", "X", "per-operation disk fault rate",
+       set_rate(disk.fault_rate)},
+      {"--disk-fault-seed", "S", "disk fault stream seed", set(disk.seed)},
+      {"--disk-fault-after-bytes", "N", "ENOSPC after N bytes written",
+       set(disk.enospc_after_bytes)},
+      {"--link-fault-rate", "X", "share of connections faulted",
+       set_rate(link.fault_rate)},
+      {"--link-fault-seed", "S", "link fault stream seed", set(link.seed)},
+      {"--link-fault-max-bytes", "N", "latest byte offset of a fault",
+       set(link.max_fault_bytes)},
+      choice("--summary-mode", "knowledge summary exchange",
+             sync.summary_mode,
+             Choices<repl::SummaryMode>{{"on", repl::SummaryMode::On},
+                                        {"off", repl::SummaryMode::Off},
+                                        {"auto", repl::SummaryMode::Auto}}),
+  };
 }
 
-int cmd_gen_mobility(Args& args) {
+struct GenMobility {
   trace::MobilityConfig config;
   std::string out;
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--out") {
-      out = args.value("--out");
-    } else if (flag == "--days") {
-      config.days = parse_u64(args.value("--days"));
-    } else if (flag == "--fleet") {
-      config.fleet_size = parse_u64(args.value("--fleet"));
-    } else if (flag == "--buses") {
-      config.buses_per_day = parse_u64(args.value("--buses"));
-    } else if (flag == "--seed") {
-      config.seed = parse_u64(args.value("--seed"));
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
+
+  Flags flags();
+  int run() const;
+};
+
+Flags GenMobility::flags() {
+  return {{"--out", "FILE", "trace file to write (required)", set(out)},
+          {"--days", "N", "days to generate", set(config.days)},
+          {"--fleet", "N", "bus pool size", set(config.fleet_size)},
+          {"--buses", "N", "buses on the road per day",
+           set(config.buses_per_day)},
+          {"--seed", "S", "generator seed", set(config.seed)}};
+}
+
+int GenMobility::run() const {
   if (out.empty()) usage("gen-mobility requires --out");
   const auto trace = trace::generate_mobility(config);
   trace::save_mobility(out, trace);
@@ -191,23 +343,22 @@ int cmd_gen_mobility(Args& args) {
   return 0;
 }
 
-int cmd_gen_email(Args& args) {
+struct GenEmail {
   trace::EmailConfig config;
   std::string out;
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--out") {
-      out = args.value("--out");
-    } else if (flag == "--users") {
-      config.users = parse_u64(args.value("--users"));
-    } else if (flag == "--messages") {
-      config.total_messages = parse_u64(args.value("--messages"));
-    } else if (flag == "--seed") {
-      config.seed = parse_u64(args.value("--seed"));
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
+
+  Flags flags();
+  int run() const;
+};
+
+Flags GenEmail::flags() {
+  return {{"--out", "FILE", "workload file to write (required)", set(out)},
+          {"--users", "N", "mail users", set(config.users)},
+          {"--messages", "N", "messages to inject", set(config.total_messages)},
+          {"--seed", "S", "generator seed", set(config.seed)}};
+}
+
+int GenEmail::run() const {
   if (out.empty()) usage("gen-email requires --out");
   const auto workload = trace::generate_email(config);
   trace::save_email(out, workload);
@@ -235,56 +386,43 @@ void write_csv(const std::string& path, const sim::Metrics& metrics) {
   }
 }
 
-int cmd_run(Args& args) {
-  auto config = sim::paper_config();
+struct RunEmulation {
+  sim::EmulationConfig config = sim::paper_config();
   std::optional<std::string> mobility_file;
   std::optional<std::string> email_file;
   std::optional<std::string> csv_file;
   double scale = 1.0;
   std::uint64_t seed = 4;
 
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--policy") {
-      config.policy = args.value("--policy");
-    } else if (flag == "--param") {
-      const std::string kv = args.value("--param");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) usage("--param expects KEY=VALUE");
-      config.policy_params[kv.substr(0, eq)] =
-          std::atof(kv.c_str() + eq + 1);
-    } else if (flag == "--strategy") {
-      const std::string name = args.value("--strategy");
-      if (name == "self") {
-        config.strategy = dtn::FilterStrategy::SelfOnly;
-      } else if (name == "random") {
-        config.strategy = dtn::FilterStrategy::Random;
-      } else if (name == "selected") {
-        config.strategy = dtn::FilterStrategy::Selected;
-      } else {
-        usage("unknown strategy");
-      }
-    } else if (flag == "--k") {
-      config.filter_k = parse_u64(args.value("--k"));
-    } else if (flag == "--bandwidth") {
-      config.encounter_budget = parse_u64(args.value("--bandwidth"));
-    } else if (flag == "--storage") {
-      config.relay_capacity = parse_u64(args.value("--storage"));
-    } else if (flag == "--seed") {
-      seed = parse_u64(args.value("--seed"));
-    } else if (flag == "--scale") {
-      scale = std::atof(args.value("--scale"));
-    } else if (flag == "--mobility") {
-      mobility_file = args.value("--mobility");
-    } else if (flag == "--email") {
-      email_file = args.value("--email");
-    } else if (flag == "--csv") {
-      csv_file = args.value("--csv");
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
+  Flags flags();
+  int run();
+};
 
+Flags RunEmulation::flags() {
+  return {
+      {"--policy", "NAME", "forwarding policy (see below)", set(config.policy)},
+      {"--param", "KEY=VALUE", "policy parameter (repeatable)",
+       [this](const char* text) {
+         const auto [key, value] = split_pair(text, "KEY=VALUE");
+         config.policy_params[key] = parse<double>(value.c_str());
+       }},
+      choice("--strategy", "filter strategy", config.strategy,
+             Choices<dtn::FilterStrategy>{
+                 {"self", dtn::FilterStrategy::SelfOnly},
+                 {"random", dtn::FilterStrategy::Random},
+                 {"selected", dtn::FilterStrategy::Selected}}),
+      {"--k", "N", "filter size for random|selected", set(config.filter_k)},
+      {"--bandwidth", "N", "items per encounter", set(config.encounter_budget)},
+      {"--storage", "N", "relay store capacity", set(config.relay_capacity)},
+      {"--seed", "S", "experiment seed", set(seed)},
+      {"--mobility", "FILE", "encounter trace to replay", set(mobility_file)},
+      {"--email", "FILE", "message workload to inject", set(email_file)},
+      {"--csv", "FILE", "write per-message records here", set(csv_file)},
+      {"--scale", "X", "shrink the generated world (< 1)", set(scale)},
+  };
+}
+
+int RunEmulation::run() {
   // Rebuild the config around the chosen seed/scale, preserving the
   // experiment knobs gathered above.
   {
@@ -360,19 +498,6 @@ void report_sync(const char* label, const repl::SyncStats& stats) {
       stats.complete ? 1 : 0, stats.request_bytes, stats.batch_bytes);
 }
 
-/// Seeded disk-fault injection for the CLI (tools/diskfault_e2e.sh):
-/// wraps the FsEnv in a persist::FaultInjectingEnv so a node can be
-/// run against a disk that fails under load without filling or
-/// breaking a real one. The rate is armed *after* attach — the disk
-/// was healthy at boot — while the ENOSPC byte budget counts from the
-/// first write (a disk that fills, fills on everything).
-struct DiskFaultFlags {
-  double rate = 0.0;
-  std::uint64_t seed = 0;
-  std::uint64_t after_bytes = 0;  ///< 0 = no ENOSPC budget
-  [[nodiscard]] bool any() const { return rate > 0 || after_bytes > 0; }
-};
-
 /// A DtnNode plus its (optional) crash-durable state. When `state_dir`
 /// is non-empty: recover the replica if a checkpoint exists, else start
 /// fresh, and attach the WAL sink either way — every later mutation is
@@ -390,21 +515,29 @@ struct DurableNode {
   }
 };
 
-DurableNode make_durable_node(const std::string& state_dir,
-                              std::uint64_t id, bool id_explicit,
-                              persist::DurabilityOptions options = {},
-                              const DiskFaultFlags& faults = {}) {
+/// Seeded disk-fault injection (tools/diskfault_e2e.sh) wraps the FsEnv
+/// in a persist::FaultInjectingEnv so a node can be run against a disk
+/// that fails under load without filling or breaking a real one. The
+/// rate is armed *after* attach — the disk was healthy at boot — while
+/// the ENOSPC byte budget counts from the first write (a disk that
+/// fills, fills on everything).
+DurableNode make_durable_node(const Node& local, std::uint64_t default_id,
+                              persist::DurabilityOptions options = {}) {
+  const std::string& state_dir = local.state_dir;
+  const std::uint64_t id = local.id.value_or(default_id);
+  const bool disk_faults =
+      local.disk.fault_rate > 0 || local.disk.enospc_after_bytes > 0;
+  if (disk_faults && state_dir.empty())
+    usage("--disk-fault-* flags require --state-dir");
   DurableNode out;
   if (state_dir.empty()) {
     out.node.emplace(ReplicaId(id));
     return out;
   }
   out.env = std::make_unique<persist::FsEnv>(state_dir);
-  if (faults.any()) {
-    persist::FaultPlan plan;
-    plan.seed = faults.seed;
+  if (disk_faults) {
+    persist::FaultPlan plan = local.disk;
     plan.fault_rate = 0.0;  // armed after attach
-    plan.enospc_after_bytes = faults.after_bytes;
     out.fault_env = std::make_unique<persist::FaultInjectingEnv>(
         *out.env, plan);
   }
@@ -429,7 +562,7 @@ DurableNode make_durable_node(const std::string& state_dir,
         recovered->stats.wal_records_replayed,
         recovered->stats.wal_bytes_truncated,
         recovered->stats.wal_stale ? " (stale log ignored)" : "");
-    if (id_explicit && recovered->replica.id().value() != id) {
+    if (local.id && recovered->replica.id().value() != id) {
       std::fprintf(stderr,
                    "warning: --id %llu ignored; state directory holds "
                    "replica %llu\n",
@@ -444,7 +577,7 @@ DurableNode make_durable_node(const std::string& state_dir,
   out.durability =
       std::make_unique<persist::Durability>(out.storage(), options);
   out.durability->attach(out.node->replica());
-  if (out.fault_env) out.fault_env->set_fault_rate(faults.rate);
+  if (out.fault_env) out.fault_env->set_fault_rate(local.disk.fault_rate);
   // Exactly-once delivery reporting across restarts: seed the node's
   // ledger with everything already reported (attach() restored it from
   // checkpoint + WAL) and persist each new first-time delivery before
@@ -469,118 +602,70 @@ void on_shutdown_signal(int) {
   }
 }
 
-int cmd_serve(Args& args) {
-  std::uint16_t port = 0;
-  bool have_port = false;
-  std::string port_file;
-  std::string state_dir;
-  std::set<HostId> addrs;
-  std::uint64_t id = 1;
-  bool id_explicit = false;
-  std::size_t max_sessions = 0;  // 0 = serve forever
-  int workers = 1;
-  int drain_ms = 5000;
-  repl::SyncOptions sync_options;
+struct Serve {
+  Endpoint endpoint;
+  Node local;
+  net::SyncServerOptions server_options;
   persist::DurabilityOptions durability_options;
-  DiskFaultFlags faults;
-  net::TcpOptions tcp_options;
-  tcp_options.session_deadline_ms = 30000;
-  net::ResourceLimits limits;
-  net::QuarantineOptions quarantine_options;
-  std::size_t max_concurrent = 0;
-  net::LinkFaultPlan link_faults;
 
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--port") {
-      port = static_cast<std::uint16_t>(parse_u64(args.value("--port")));
-      have_port = true;
-    } else if (flag == "--port-file") {
-      port_file = args.value("--port-file");
-    } else if (flag == "--addr") {
-      addrs.insert(HostId(parse_u64(args.value("--addr"))));
-    } else if (flag == "--id") {
-      id = parse_u64(args.value("--id"));
-      id_explicit = true;
-    } else if (flag == "--max-sessions") {
-      max_sessions = parse_u64(args.value("--max-sessions"));
-    } else if (flag == "--workers") {
-      workers = static_cast<int>(parse_u64(args.value("--workers")));
-      if (workers < 1) usage("--workers must be >= 1");
-    } else if (flag == "--drain-ms") {
-      drain_ms = static_cast<int>(parse_u64(args.value("--drain-ms")));
-    } else if (flag == "--bandwidth") {
-      sync_options.max_items = parse_u64(args.value("--bandwidth"));
-    } else if (flag == "--state-dir") {
-      state_dir = args.value("--state-dir");
-    } else if (flag == "--kill-after-records") {
-      durability_options.kill_after_records =
-          parse_u64(args.value("--kill-after-records"));
-    } else if (flag == "--checkpoint-every-bytes") {
-      durability_options.checkpoint_every_bytes =
-          parse_u64(args.value("--checkpoint-every-bytes"));
-    } else if (flag == "--checkpoint-generations") {
-      durability_options.checkpoint_generations = static_cast<std::size_t>(
-          parse_u64(args.value("--checkpoint-generations")));
-      if (durability_options.checkpoint_generations == 0)
-        usage("--checkpoint-generations must be >= 1");
-    } else if (flag == "--disk-fault-rate") {
-      faults.rate = parse_rate(args.value("--disk-fault-rate"));
-    } else if (flag == "--disk-fault-seed") {
-      faults.seed = parse_u64(args.value("--disk-fault-seed"));
-    } else if (flag == "--disk-fault-after-bytes") {
-      faults.after_bytes = parse_u64(args.value("--disk-fault-after-bytes"));
-    } else if (flag == "--io-timeout-ms") {
-      tcp_options.io_timeout_ms =
-          static_cast<int>(parse_u64(args.value("--io-timeout-ms")));
-    } else if (flag == "--session-deadline-ms") {
-      tcp_options.session_deadline_ms = static_cast<int>(
-          parse_u64(args.value("--session-deadline-ms")));
-    } else if (flag == "--quarantine-base-ms") {
-      quarantine_options.base_backoff_ms =
-          parse_u64(args.value("--quarantine-base-ms"));
-    } else if (flag == "--quarantine-max-ms") {
-      quarantine_options.max_backoff_ms =
-          parse_u64(args.value("--quarantine-max-ms"));
-    } else if (flag == "--max-concurrent-sessions") {
-      max_concurrent =
-          parse_u64(args.value("--max-concurrent-sessions"));
-    } else if (flag == "--link-fault-rate") {
-      link_faults.fault_rate = parse_rate(args.value("--link-fault-rate"));
-    } else if (flag == "--link-fault-seed") {
-      link_faults.seed = parse_u64(args.value("--link-fault-seed"));
-    } else if (flag == "--link-fault-max-bytes") {
-      link_faults.max_fault_bytes =
-          parse_u64(args.value("--link-fault-max-bytes"));
-    } else if (flag == "--max-request-bytes") {
-      limits.max_request_bytes = static_cast<std::uint32_t>(
-          parse_u64(args.value("--max-request-bytes")));
-    } else if (flag == "--max-item-bytes") {
-      limits.max_item_bytes = static_cast<std::uint32_t>(
-          parse_u64(args.value("--max-item-bytes")));
-    } else if (flag == "--max-batch-items") {
-      limits.max_batch_items = parse_u64(args.value("--max-batch-items"));
-    } else if (flag == "--summary-mode") {
-      sync_options.summary_mode =
-          parse_summary_mode(args.value("--summary-mode"));
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
-  if (!have_port) usage("serve requires --port (0 = ephemeral)");
-  if (addrs.empty()) usage("serve requires at least one --addr");
-  if (durability_options.kill_after_records != 0 && state_dir.empty())
+  Serve() { server_options.tcp.session_deadline_ms = 30000; }
+
+  Flags flags();
+  int run();
+};
+
+Flags Serve::flags() {
+  return join({
+      endpoint.flags(),
+      local.flags(),
+      {
+          {"--max-sessions", "N", "exit after N sessions (0 = never)",
+           set(server_options.max_sessions)},
+          {"--workers", "N", "event-loop worker threads",
+           set_positive(server_options.workers)},
+          {"--drain-ms", "N", "SIGTERM drain deadline",
+           set(server_options.drain_deadline_ms)},
+          {"--kill-after-records", "N",
+           "SIGKILL self after the Nth WAL record",
+           set(durability_options.kill_after_records)},
+          {"--checkpoint-every-bytes", "N", "roll the WAL at this size",
+           set(durability_options.checkpoint_every_bytes)},
+          {"--checkpoint-generations", "N", "checkpoints to keep",
+           set_positive(durability_options.checkpoint_generations)},
+          {"--io-timeout-ms", "N", "per-operation I/O timeout",
+           set(server_options.tcp.io_timeout_ms)},
+          {"--session-deadline-ms", "N", "absolute session deadline",
+           set(server_options.tcp.session_deadline_ms)},
+          {"--quarantine-base-ms", "N", "first quarantine window",
+           set(server_options.quarantine.base_backoff_ms)},
+          {"--quarantine-max-ms", "N", "quarantine window cap",
+           set(server_options.quarantine.max_backoff_ms)},
+          {"--max-concurrent-sessions", "N",
+           "shed connections beyond N (0 = no cap)",
+           set(server_options.max_concurrent_sessions)},
+          {"--max-request-bytes", "N", "request frame cap",
+           set(server_options.limits.max_request_bytes)},
+          {"--max-item-bytes", "N", "batch item frame cap",
+           set(server_options.limits.max_item_bytes)},
+          {"--max-batch-items", "N", "items per batch cap",
+           set(server_options.limits.max_batch_items)},
+      },
+  });
+}
+
+int Serve::run() {
+  if (!endpoint.port) usage("serve requires --port (0 = ephemeral)");
+  if (local.addrs.empty()) usage("serve requires at least one --addr");
+  if (durability_options.kill_after_records != 0 && local.state_dir.empty())
     usage("--kill-after-records requires --state-dir");
-  if (faults.any() && state_dir.empty())
-    usage("--disk-fault-* flags require --state-dir");
 
-  DurableNode durable = make_durable_node(state_dir, id, id_explicit,
-                                          durability_options, faults);
+  DurableNode durable = make_durable_node(local, 1, durability_options);
   dtn::DtnNode& node = *durable.node;
   // With --state-dir the delivered ledger was recovered and seeded in
   // make_durable_node, so messages already reported before a crash stay
   // silent here — delivery reporting is exactly-once across restarts.
-  report_delivered(node.set_addresses(addrs, {}, SimTime(0)));
+  report_delivered(node.set_addresses(
+      {local.addrs.begin(), local.addrs.end()}, {}, SimTime(0)));
 
   // Graceful drain on SIGTERM/SIGINT: the handler writes to a
   // self-pipe whose read end the server's acceptor loop watches.
@@ -594,18 +679,10 @@ int cmd_serve(Args& args) {
   ::sigaction(SIGTERM, &shutdown_action, nullptr);
   ::sigaction(SIGINT, &shutdown_action, nullptr);
 
-  net::SyncServerOptions server_options;
-  server_options.port = port;
-  server_options.workers = workers;
-  server_options.max_sessions = max_sessions;
-  server_options.drain_deadline_ms = drain_ms;
+  server_options.port = *endpoint.port;
   server_options.shutdown_fd = shutdown_pipe[0];
-  server_options.tcp = tcp_options;
-  server_options.sync = sync_options;
-  server_options.limits = limits;
-  server_options.quarantine = quarantine_options;
-  server_options.max_concurrent_sessions = max_concurrent;
-  server_options.link_faults = link_faults;
+  server_options.sync = local.sync;
+  server_options.link_faults = local.link;
 
   net::SyncServerCallbacks callbacks;
   // Runs on a worker thread with the server's state mutex held, so the
@@ -686,15 +763,16 @@ int cmd_serve(Args& args) {
               static_cast<unsigned long long>(node.id().value()),
               server.port());
   std::fflush(stdout);
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    if (!out) throw ContractViolation("cannot open " + port_file);
+  if (!endpoint.file.empty()) {
+    std::ofstream out(endpoint.file);
+    if (!out) throw ContractViolation("cannot open " + endpoint.file);
     out << server.port() << '\n';
   }
 
   const bool listener_ok = server.run();
 
-  if (max_concurrent != 0 || link_faults.fault_rate > 0) {
+  if (server_options.max_concurrent_sessions != 0 ||
+      local.link.fault_rate > 0) {
     std::printf("flaky-link: shed=%zu link_faults_injected=%zu\n",
                 server.sessions_shed(), server.link_faults_injected());
     std::fflush(stdout);
@@ -758,113 +836,60 @@ net::ConnectionPtr connect_with_retries(const std::string& host,
   }
 }
 
-int cmd_sync_with(Args& args) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  std::string port_file;
-  std::string state_dir;
-  std::optional<std::uint64_t> addr;
-  std::uint64_t id = 2;
-  bool id_explicit = false;
+struct SyncWith {
+  Dial dial;
+  Node local;
+  std::vector<std::pair<std::uint64_t, std::string>> sends;
+  net::SyncMode mode = net::SyncMode::Encounter;
   std::size_t retries = 4;
   std::uint64_t retry_base_ms = 100;
   std::size_t retry_max = 0;
   std::uint64_t retry_budget_ms = 0;
-  net::LinkFaultPlan link_plan;
-  net::SyncMode mode = net::SyncMode::Encounter;
-  net::TcpOptions tcp_options;
-  repl::SyncOptions sync_options;
-  DiskFaultFlags faults;
-  std::vector<std::pair<std::uint64_t, std::string>> sends;
 
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--host") {
-      host = args.value("--host");
-    } else if (flag == "--port") {
-      port = static_cast<std::uint16_t>(parse_u64(args.value("--port")));
-    } else if (flag == "--port-file") {
-      port_file = args.value("--port-file");
-    } else if (flag == "--addr") {
-      addr = parse_u64(args.value("--addr"));
-    } else if (flag == "--id") {
-      id = parse_u64(args.value("--id"));
-      id_explicit = true;
-    } else if (flag == "--state-dir") {
-      state_dir = args.value("--state-dir");
-    } else if (flag == "--retries") {
-      retries = parse_u64(args.value("--retries"));
-    } else if (flag == "--retry-base-ms") {
-      retry_base_ms = parse_u64(args.value("--retry-base-ms"));
-    } else if (flag == "--retry-max") {
-      retry_max = parse_u64(args.value("--retry-max"));
-    } else if (flag == "--retry-budget-ms") {
-      retry_budget_ms = parse_u64(args.value("--retry-budget-ms"));
-    } else if (flag == "--link-fault-rate") {
-      link_plan.fault_rate = parse_rate(args.value("--link-fault-rate"));
-    } else if (flag == "--link-fault-seed") {
-      link_plan.seed = parse_u64(args.value("--link-fault-seed"));
-    } else if (flag == "--link-fault-max-bytes") {
-      link_plan.max_fault_bytes =
-          parse_u64(args.value("--link-fault-max-bytes"));
-    } else if (flag == "--send") {
-      const std::string kv = args.value("--send");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) usage("--send expects DEST=BODY");
-      sends.emplace_back(parse_u64(kv.c_str()), kv.substr(eq + 1));
-    } else if (flag == "--mode") {
-      const std::string name = args.value("--mode");
-      if (name == "pull") {
-        mode = net::SyncMode::Pull;
-      } else if (name == "push") {
-        mode = net::SyncMode::Push;
-      } else if (name == "encounter") {
-        mode = net::SyncMode::Encounter;
-      } else {
-        usage("unknown mode");
-      }
-    } else if (flag == "--bandwidth") {
-      sync_options.max_items = parse_u64(args.value("--bandwidth"));
-    } else if (flag == "--timeout-ms") {
-      const int ms = static_cast<int>(parse_u64(args.value("--timeout-ms")));
-      tcp_options.connect_timeout_ms = ms;
-      tcp_options.io_timeout_ms = ms;
-    } else if (flag == "--disk-fault-rate") {
-      faults.rate = parse_rate(args.value("--disk-fault-rate"));
-    } else if (flag == "--disk-fault-seed") {
-      faults.seed = parse_u64(args.value("--disk-fault-seed"));
-    } else if (flag == "--disk-fault-after-bytes") {
-      faults.after_bytes = parse_u64(args.value("--disk-fault-after-bytes"));
-    } else if (flag == "--summary-mode") {
-      sync_options.summary_mode =
-          parse_summary_mode(args.value("--summary-mode"));
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
-  if (!addr) usage("sync-with requires --addr");
-  if (faults.any() && state_dir.empty())
-    usage("--disk-fault-* flags require --state-dir");
-  if (!port_file.empty()) {
-    std::ifstream in(port_file);
-    unsigned from_file = 0;
-    if (!(in >> from_file))
-      throw ContractViolation("cannot read port from " + port_file);
-    port = static_cast<std::uint16_t>(from_file);
-  }
-  if (port == 0) usage("sync-with requires --port or --port-file");
+  Flags flags();
+  int run();
+};
 
-  DurableNode durable =
-      make_durable_node(state_dir, id, id_explicit, {}, faults);
+Flags SyncWith::flags() {
+  return join({
+      dial.flags(),
+      local.flags(),
+      {
+          {"--send", "DEST=BODY", "author a message (repeatable)",
+           [this](const char* text) {
+             const auto [dest, body] = split_pair(text, "DEST=BODY");
+             sends.emplace_back(parse<std::uint64_t>(dest.c_str()), body);
+           }},
+          choice("--mode", "sync direction", mode,
+                 Choices<net::SyncMode>{
+                     {"pull", net::SyncMode::Pull},
+                     {"push", net::SyncMode::Push},
+                     {"encounter", net::SyncMode::Encounter}}),
+          {"--retries", "N", "connect retries", set(retries)},
+          {"--retry-base-ms", "N", "first retry backoff", set(retry_base_ms)},
+          {"--retry-max", "N", "re-dials after a failed session",
+           set(retry_max)},
+          {"--retry-budget-ms", "N", "stop re-dialing after this long",
+           set(retry_budget_ms)},
+      },
+  });
+}
+
+int SyncWith::run() {
+  if (local.addrs.empty()) usage("sync-with requires --addr");
+  const HostId addr(local.addrs.back());
+  const std::uint16_t port = dial.port("sync-with");
+
+  DurableNode durable = make_durable_node(local, 2);
   dtn::DtnNode& node = *durable.node;
-  node.set_addresses({HostId(*addr)}, {}, SimTime(0));
+  node.set_addresses({addr}, {}, SimTime(0));
   for (const auto& [dest, body] : sends)
-    node.send(HostId(*addr), {HostId(dest)}, body, SimTime(0));
+    node.send(addr, {HostId(dest)}, body, SimTime(0));
 
   // Link-fault injection (tools/flakylink_e2e.sh): one seeded injector
   // shared across every retry attempt, so re-dials walk one
   // deterministic schedule stream. Rate 0 = passthrough, no RNG draws.
-  net::LinkFaultInjector link_faults(link_plan);
+  net::LinkFaultInjector link_faults(local.link);
 
   // One jittered-exponential schedule for the whole encounter: connect
   // retries and session re-dials escalate it together.
@@ -892,10 +917,10 @@ int cmd_sync_with(Args& args) {
     bool refusal = false;
     try {
       const auto connection = link_faults.wrap(connect_with_retries(
-          host, port, tcp_options, retries, backoff));
+          dial.host, port, dial.tcp, retries, backoff));
       const auto outcome = net::run_client_session(
           *connection, node.replica(), node.policy(), mode, SimTime(0),
-          sync_options);
+          local.sync);
       if (outcome.refused) {
         // The server answered Hello with a transient Error (an
         // overloaded serve shedding Busy, a draining one): the session
@@ -946,46 +971,41 @@ int cmd_sync_with(Args& args) {
 /// health is judged by the caller (tools/hostile_e2e.sh), which checks
 /// that serve stayed up, quarantined the attacker, and still converges
 /// with an honest peer afterwards.
-int cmd_chaos(Args& args) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  std::string port_file;
+struct Chaos {
+  Dial dial;
   std::vector<net::ChaosAttack> attacks;
   bool all = false;
-  net::TcpOptions tcp_options;
+  bool list = false;
   net::ChaosPeerOptions chaos_options;
 
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--host") {
-      host = args.value("--host");
-    } else if (flag == "--port") {
-      port = static_cast<std::uint16_t>(parse_u64(args.value("--port")));
-    } else if (flag == "--port-file") {
-      port_file = args.value("--port-file");
-    } else if (flag == "--attack") {
-      const std::string name = args.value("--attack");
-      const auto attack = net::chaos_attack_from_name(name);
-      if (!attack) usage(("unknown attack " + name).c_str());
-      attacks.push_back(*attack);
-    } else if (flag == "--all") {
-      all = true;
-    } else if (flag == "--list") {
-      for (std::size_t i = 0; i < net::kChaosAttackCount; ++i)
-        std::printf("%s\n", net::chaos_attack_name(
-                                static_cast<net::ChaosAttack>(i)));
-      return 0;
-    } else if (flag == "--trickle-delay-ms") {
-      chaos_options.trickle_delay_ms = static_cast<unsigned>(
-          parse_u64(args.value("--trickle-delay-ms")));
-    } else if (flag == "--timeout-ms") {
-      const int ms =
-          static_cast<int>(parse_u64(args.value("--timeout-ms")));
-      tcp_options.connect_timeout_ms = ms;
-      tcp_options.io_timeout_ms = ms;
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
+  Flags flags();
+  int run();
+};
+
+Flags Chaos::flags() {
+  return join({
+      dial.flags(),
+      {
+          {"--attack", "NAME", "attack to run (repeatable)",
+           [this](const char* name) {
+             const auto attack = net::chaos_attack_from_name(name);
+             if (!attack) throw std::invalid_argument("unknown attack");
+             attacks.push_back(*attack);
+           }},
+          toggle("--all", "run every attack", all),
+          toggle("--list", "print the attack names and exit", list),
+          {"--trickle-delay-ms", "N", "byte-trickle pause per byte",
+           set(chaos_options.trickle_delay_ms)},
+      },
+  });
+}
+
+int Chaos::run() {
+  if (list) {
+    for (std::size_t i = 0; i < net::kChaosAttackCount; ++i)
+      std::printf("%s\n", net::chaos_attack_name(
+                              static_cast<net::ChaosAttack>(i)));
+    return 0;
   }
   if (all) {
     attacks.clear();
@@ -993,19 +1013,12 @@ int cmd_chaos(Args& args) {
       attacks.push_back(static_cast<net::ChaosAttack>(i));
   }
   if (attacks.empty()) usage("chaos requires --attack, --all, or --list");
-  if (!port_file.empty()) {
-    std::ifstream in(port_file);
-    unsigned from_file = 0;
-    if (!(in >> from_file))
-      throw ContractViolation("cannot read port from " + port_file);
-    port = static_cast<std::uint16_t>(from_file);
-  }
-  if (port == 0) usage("chaos requires --port or --port-file");
+  const std::uint16_t port = dial.port("chaos");
 
   for (const net::ChaosAttack attack : attacks) {
     const char* name = net::chaos_attack_name(attack);
     try {
-      const auto connection = net::tcp_connect(host, port, tcp_options);
+      const auto connection = net::tcp_connect(dial.host, port, dial.tcp);
       const net::ChaosOutcome outcome =
           net::run_chaos_attack(*connection, attack, chaos_options);
       std::printf("attack=%s violation=%d bytes_sent=%zu cut=%d%s%s\n",
@@ -1023,16 +1036,19 @@ int cmd_chaos(Args& args) {
   return 0;
 }
 
-int cmd_state_digest(Args& args) {
+struct StateDigest {
   std::string state_dir;
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--state-dir") {
-      state_dir = args.value("--state-dir");
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
+
+  Flags flags();
+  int run() const;
+};
+
+Flags StateDigest::flags() {
+  return {{"--state-dir", "DIR", "state directory to digest (required)",
+           set(state_dir)}};
+}
+
+int StateDigest::run() const {
   if (state_dir.empty()) usage("state-digest requires --state-dir");
 
   persist::FsEnv env(state_dir);
@@ -1078,134 +1094,160 @@ int cmd_state_digest(Args& args) {
   return 0;
 }
 
-int cmd_check(Args& args) {
-  check::CheckOptions options;
-  options.runs = 5;
-  // Flags that change schedule generation, re-quoted verbatim into the
-  // replay hint so the printed command regenerates the same schedules.
-  std::string config_flags;
-  const auto config_flag = [&](const std::string& flag,
-                               const char* value) {
-    config_flags += " " + flag + " " + value;
-    return value;
-  };
+/// The bugs `check --inject-bug` can plant, each one ScenarioConfig
+/// switch the probes must catch.
+const Choices<bool check::ScenarioConfig::*> kInjectableBugs = {
+    {"learn-truncated", &check::ScenarioConfig::inject_learn_truncated},
+    {"skip-fsync", &check::ScenarioConfig::inject_skip_fsync},
+    {"skip-limit-check", &check::ScenarioConfig::inject_skip_limit_check},
+    {"no-deadline", &check::ScenarioConfig::inject_no_deadline},
+    {"summary-skip-fallback",
+     &check::ScenarioConfig::inject_summary_skip_fallback},
+    {"ack-before-fsync", &check::ScenarioConfig::inject_ack_before_fsync},
+    {"retry-forgets-progress",
+     &check::ScenarioConfig::inject_retry_forgets_progress},
+};
 
-  while (!args.done()) {
-    const std::string flag = args.next();
-    if (flag == "--seed") {
-      options.seed = parse_u64(args.value("--seed"));
-    } else if (flag == "--runs") {
-      options.runs = parse_u64(args.value("--runs"));
-    } else if (flag == "--replay") {
-      options.seed = parse_u64(args.value("--replay"));
-      options.runs = 1;
-    } else if (flag == "--log") {
-      options.log = true;
-    } else if (flag == "--replicas") {
-      options.config.replicas =
-          parse_u64(config_flag(flag, args.value("--replicas")));
-    } else if (flag == "--steps") {
-      options.config.steps =
-          parse_u64(config_flag(flag, args.value("--steps")));
-    } else if (flag == "--addresses") {
-      options.config.addresses =
-          parse_u64(config_flag(flag, args.value("--addresses")));
-    } else if (flag == "--cut-rate") {
-      options.config.cut_rate =
-          std::atof(config_flag(flag, args.value("--cut-rate")));
-    } else if (flag == "--cap-rate") {
-      options.config.cap_rate =
-          std::atof(config_flag(flag, args.value("--cap-rate")));
-    } else if (flag == "--throttle-rate") {
-      options.config.throttle_rate =
-          std::atof(config_flag(flag, args.value("--throttle-rate")));
-    } else if (flag == "--filter-rate") {
-      options.config.filter_change_rate =
-          std::atof(config_flag(flag, args.value("--filter-rate")));
-    } else if (flag == "--discard-rate") {
-      options.config.discard_rate =
-          std::atof(config_flag(flag, args.value("--discard-rate")));
-    } else if (flag == "--storage") {
-      options.config.relay_capacity =
-          parse_u64(config_flag(flag, args.value("--storage")));
-    } else if (flag == "--crash-rate") {
-      options.config.crash_rate =
-          std::atof(config_flag(flag, args.value("--crash-rate")));
-    } else if (flag == "--adversary-rate") {
-      options.config.adversary_rate =
-          std::atof(config_flag(flag, args.value("--adversary-rate")));
-    } else if (flag == "--summary-rate") {
-      options.config.summary_rate =
-          std::atof(config_flag(flag, args.value("--summary-rate")));
-    } else if (flag == "--summary-collision-rate") {
-      options.config.summary_collision_rate = std::atof(
-          config_flag(flag, args.value("--summary-collision-rate")));
-    } else if (flag == "--disk-fault-rate") {
-      options.config.disk_fault_rate =
-          std::atof(config_flag(flag, args.value("--disk-fault-rate")));
-    } else if (flag == "--retry-max") {
-      options.config.sync_retry_max =
-          parse_u64(config_flag(flag, args.value("--retry-max")));
-    } else if (flag == "--quiesce") {
-      options.config.quiescence_rounds =
-          parse_u64(config_flag(flag, args.value("--quiesce")));
-    } else if (flag == "--no-shrink") {
-      options.shrink = false;
-    } else if (flag == "--shrink-budget") {
-      options.shrink_budget = parse_u64(args.value("--shrink-budget"));
-    } else if (flag == "--inject-bug") {
-      const std::string bug = args.value("--inject-bug");
-      if (bug == "learn-truncated") {
-        options.config.inject_learn_truncated = true;
-      } else if (bug == "skip-fsync") {
-        options.config.inject_skip_fsync = true;
-      } else if (bug == "skip-limit-check") {
-        options.config.inject_skip_limit_check = true;
-      } else if (bug == "no-deadline") {
-        options.config.inject_no_deadline = true;
-      } else if (bug == "summary-skip-fallback") {
-        options.config.inject_summary_skip_fallback = true;
-      } else if (bug == "ack-before-fsync") {
-        options.config.inject_ack_before_fsync = true;
-      } else if (bug == "retry-forgets-progress") {
-        options.config.inject_retry_forgets_progress = true;
-      } else {
-        usage("unknown --inject-bug");
-      }
-      config_flags += " --inject-bug " + bug;
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
-  }
+struct Check {
+  check::CheckOptions options;
+  /// The schedule-marked flags as typed, for the replay hint.
+  std::string replay;
+
+  Check() { options.runs = 5; }
+
+  Flags flags();
+  int run() const;
+};
+
+Flags Check::flags() {
+  check::ScenarioConfig& config = options.config;
+  return {
+      {"--seed", "S", "first seed", set(options.seed)},
+      {"--runs", "N", "seeds to run", set(options.runs)},
+      {"--replay", "S", "re-run (and shrink) one seed",
+       [this](const char* text) {
+         options.seed = parse<std::uint64_t>(text);
+         options.runs = 1;
+       }},
+      toggle("--log", "print every event log", options.log),
+      {"--replicas", "N", "replicas per schedule", set(config.replicas),
+       &replay},
+      {"--steps", "N", "events per schedule", set(config.steps), &replay},
+      {"--addresses", "N", "host addresses in play",
+       set(config.addresses), &replay},
+      {"--cut-rate", "X", "syncs cut mid-stream",
+       set_rate(config.cut_rate), &replay},
+      {"--cap-rate", "X", "syncs capped by item count",
+       set_rate(config.cap_rate), &replay},
+      {"--throttle-rate", "X", "syncs labelled throttled",
+       set_rate(config.throttle_rate), &replay},
+      {"--filter-rate", "X", "filter-change events",
+       set_rate(config.filter_change_rate), &replay},
+      {"--discard-rate", "X", "relay-discard events",
+       set_rate(config.discard_rate), &replay},
+      {"--storage", "N", "relay store capacity",
+       set(config.relay_capacity), &replay},
+      {"--crash-rate", "X", "crash-restart events",
+       set_rate(config.crash_rate), &replay},
+      {"--adversary-rate", "X", "chaos-peer attack events",
+       set_rate(config.adversary_rate), &replay},
+      {"--quiesce", "N", "gossip rounds before the final probe",
+       set(config.quiescence_rounds), &replay},
+      {"--summary-rate", "X", "syncs opened with a summary",
+       set_rate(config.summary_rate), &replay},
+      {"--summary-collision-rate", "X", "summary syncs forced to match",
+       set_rate(config.summary_collision_rate), &replay},
+      {"--disk-fault-rate", "X", "storage operations that fail",
+       set_rate(config.disk_fault_rate), &replay},
+      {"--retry-max", "N", "re-dials per cut contact",
+       set(config.sync_retry_max), &replay},
+      toggle("--no-shrink", "report the raw failing schedule",
+             options.shrink, false),
+      {"--shrink-budget", "N", "executions spent shrinking",
+       set(options.shrink_budget)},
+      {"--inject-bug", names_of(kInjectableBugs),
+       "plant a bug the probes must catch",
+       [this](const char* text) {
+         options.config.*pick(kInjectableBugs, text) = true;
+       },
+       &replay},
+  };
+}
+
+int Check::run() const {
   if (options.config.replicas < 2) usage("check needs --replicas >= 2");
 
   const check::CheckReport report = check::run_check(options);
   for (const std::string& line : report.run_logs)
     std::printf("%s\n", line.c_str());
-  const std::string replay_hint = "pfrdtn check" + config_flags +
-                                  " --replay " +
+  const std::string replay_hint = "pfrdtn check" + replay + " --replay " +
                                   std::to_string(report.failing_seed);
   std::fputs(check::format_report(report, replay_hint).c_str(), stdout);
   return report.passed ? 0 : 1;
+}
+
+struct Command {
+  const char* name;
+  const char* about;
+  int (*main)(int argc, char** argv);
+  void (*help)(std::string& out);
+};
+
+template <typename C>
+Command command(const char* name, const char* about) {
+  return {name, about,
+          [](int argc, char** argv) {
+            C c;
+            parse_flags(argc, argv, c.flags());
+            return c.run();
+          },
+          [](std::string& out) {
+            C c;
+            describe(c.flags(), out);
+          }};
+}
+
+const Command kCommands[] = {
+    command<GenMobility>("gen-mobility",
+                         "generate a synthetic DieselNet-like trace"),
+    command<GenEmail>("gen-email",
+                      "generate a synthetic Enron-like workload"),
+    command<RunEmulation>("run", "run one emulation"),
+    command<Serve>("serve", "host a replica, serving syncs over TCP"),
+    command<SyncWith>("sync-with", "sync with a serving replica"),
+    command<Chaos>("chaos", "attack a serving replica (hardening.md)"),
+    command<StateDigest>("state-digest",
+                         "digest a crash-durable state directory"),
+    command<Check>("check", "fault-schedule invariant checks (checking.md)"),
+};
+
+void usage(const std::string& error) {
+  if (!error.empty()) std::fprintf(stderr, "error: %s\n\n", error.c_str());
+  std::string text = "usage: pfrdtn <command> [options]\n\ncommands:\n";
+  for (const Command& c : kCommands) {
+    text += pad(std::string("  ") + c.name, 16) + c.about + "\n";
+    c.help(text);
+  }
+  text += "\npolicies:";
+  for (const auto& names :
+       {dtn::known_policies(), dtn::baseline_policies()})
+    for (const std::string& name : names) text += " " + name;
+  std::fputs((text + "\n").c_str(), stderr);
+  std::exit(error.empty() ? 0 : 2);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  Args args(argc - 2, argv + 2);
-  const std::string command = argv[1];
+  const std::string name = argv[1];
+  if (name == "--help" || name == "help") usage();
+  const auto command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) usage("unknown command " + name);
   try {
-    if (command == "gen-mobility") return cmd_gen_mobility(args);
-    if (command == "gen-email") return cmd_gen_email(args);
-    if (command == "run") return cmd_run(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "sync-with") return cmd_sync_with(args);
-    if (command == "chaos") return cmd_chaos(args);
-    if (command == "state-digest") return cmd_state_digest(args);
-    if (command == "check") return cmd_check(args);
-    if (command == "--help" || command == "help") usage();
-    usage(("unknown command " + command).c_str());
+    return command->main(argc - 2, argv + 2);
   } catch (const pfrdtn::StorageError& fault) {
     // Fatal persistence failure (fsync, checkpoint roll, recovery I/O):
     // one structured line, non-zero exit. Unwinding releases the state

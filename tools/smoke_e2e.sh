@@ -3,51 +3,25 @@
 # localhost. A server replica subscribed to address 42 is started with
 # `pfrdtn serve`; a client injects a message for 42 and pushes it with
 # `pfrdtn sync-with`. The test passes iff the server process reports
-# the delivery.
+# the delivery. Helpers come from tools/e2e_lib.sh.
 #
 # Usage: smoke_e2e.sh /path/to/pfrdtn
 set -u
 
 CLI="${1:?usage: smoke_e2e.sh /path/to/pfrdtn}"
-WORK="$(mktemp -d)"
-SERVER_LOG="$WORK/server.log"
-PORT_FILE="$WORK/port"
-SERVER_PID=""
+source "$(dirname "$0")/e2e_lib.sh"
 
-cleanup() {
-  [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+start_server server --addr 42 --id 1 --max-sessions 1 ||
+  fail "server never wrote its port file"
 
-fail() {
-  echo "FAIL: $*" >&2
-  echo "--- server log ---" >&2
-  cat "$SERVER_LOG" >&2 || true
-  exit 1
-}
-
-"$CLI" serve --port 0 --port-file "$PORT_FILE" --addr 42 --id 1 \
-  --max-sessions 1 > "$SERVER_LOG" 2>&1 &
-SERVER_PID=$!
-
-# Wait for the server to bind and publish its ephemeral port.
-for _ in $(seq 1 100); do
-  [ -s "$PORT_FILE" ] && break
-  kill -0 "$SERVER_PID" 2> /dev/null || fail "server exited early"
-  sleep 0.05
-done
-[ -s "$PORT_FILE" ] || fail "server never wrote its port file"
-
-"$CLI" sync-with --host 127.0.0.1 --port-file "$PORT_FILE" --addr 7 \
-  --id 2 --send 42=hello-e2e --mode push \
+"$CLI" sync-with --host 127.0.0.1 --port-file "$WORK/server.port" \
+  --addr 7 --id 2 --send 42=hello-e2e --mode push \
   || fail "sync-with exited non-zero"
 
 # --max-sessions 1 makes the server exit after serving us.
-wait "$SERVER_PID" || fail "server exited non-zero"
-SERVER_PID=""
+wait_server || fail "server exited non-zero"
 
-grep -q "delivered from=7 to=42 body=hello-e2e" "$SERVER_LOG" \
+grep -q "delivered from=7 to=42 body=hello-e2e" "$WORK/server.log" \
   || fail "server never reported the delivery"
 
 echo "PASS: message replicated across processes over TCP"
