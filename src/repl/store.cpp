@@ -20,24 +20,86 @@ ItemStore& ItemStore::operator=(const ItemStore& other) {
   return *this;
 }
 
-void ItemStore::index(const Entry& entry) {
+namespace {
+
+template <typename Groups>
+auto lower_bound_author(Groups& groups, ReplicaId author) {
+  return std::lower_bound(
+      groups.begin(), groups.end(), author,
+      [](const auto& group, ReplicaId a) { return group.author < a; });
+}
+
+/// Orders a version-index slot against a bare counter, either way.
+struct ByCounter {
+  template <typename Slot>
+  bool operator()(const Slot& slot, std::uint64_t counter) const {
+    return slot.first < counter;
+  }
+  template <typename Slot>
+  bool operator()(std::uint64_t counter, const Slot& slot) const {
+    return counter < slot.first;
+  }
+};
+
+}  // namespace
+
+void ItemStore::index_flags(const Entry& entry) {
   if (!entry.in_filter) ++relay_count_;
   if (entry.evictable())
     evictable_order_.emplace(entry.arrival_seq, entry.item.id());
   evictable_count_ = evictable_order_.size();
-  for (const HostId dest : entry.item.dest_addresses())
-    dest_index_[dest].emplace(entry.item.id(), &entry);
 }
 
-void ItemStore::unindex(const Entry& entry) {
+void ItemStore::unindex_flags(const Entry& entry) {
   if (!entry.in_filter) --relay_count_;
   if (entry.evictable()) evictable_order_.erase(entry.arrival_seq);
   evictable_count_ = evictable_order_.size();
+}
+
+void ItemStore::index(Entry& entry) {
+  index_flags(entry);
+  for (const HostId dest : entry.item.dest_addresses())
+    dest_index_[dest].emplace(entry.item.id(), &entry);
+
+  const Version& version = entry.item.version();
+  auto group = lower_bound_author(version_index_, version.author);
+  if (group == version_index_.end() || group->author != version.author)
+    group = version_index_.insert(group, AuthorEntries{version.author, {}, 0});
+  auto& by_counter = group->by_counter;
+  // An author's next counter, the common arrival, appends unsearched.
+  const auto at =
+      by_counter.empty() || by_counter.back().first <= version.counter
+          ? by_counter.end()
+          : std::upper_bound(by_counter.begin(), by_counter.end(),
+                             version.counter, ByCounter{});
+  by_counter.emplace(at, version.counter, &entry);
+}
+
+void ItemStore::unindex(const Entry& entry) {
+  unindex_flags(entry);
   for (const HostId dest : entry.item.dest_addresses()) {
     const auto bucket = dest_index_.find(dest);
     PFRDTN_ENSURE(bucket != dest_index_.end());
     bucket->second.erase(entry.item.id());
     if (bucket->second.empty()) dest_index_.erase(bucket);
+  }
+
+  const Version& version = entry.item.version();
+  const auto group = lower_bound_author(version_index_, version.author);
+  PFRDTN_ENSURE(group != version_index_.end() &&
+                group->author == version.author);
+  auto& by_counter = group->by_counter;
+  auto slot = std::lower_bound(by_counter.begin(), by_counter.end(),
+                               version.counter, ByCounter{});
+  while (slot != by_counter.end() && slot->second != &entry) ++slot;
+  PFRDTN_ENSURE(slot != by_counter.end() &&
+                slot->first == version.counter);
+  slot->second = nullptr;
+  if (2 * ++group->removed > by_counter.size()) {
+    std::erase_if(by_counter,
+                  [](const auto& dead) { return dead.second == nullptr; });
+    group->removed = 0;
+    if (by_counter.empty()) version_index_.erase(group);
   }
 }
 
@@ -109,9 +171,9 @@ std::vector<Item> ItemStore::refilter(
     Entry& entry = *stored;
     const bool now = matches(entry.item);
     if (now == entry.in_filter) continue;
-    unindex(entry);
+    unindex_flags(entry);
     entry.in_filter = now;
-    index(entry);
+    index_flags(entry);
     if (now) newly_matching.push_back(entry.item);
   }
   auto victims = enforce_capacity();
@@ -139,10 +201,34 @@ void ItemStore::for_each(
   for (const auto& [seq, entry] : order_) fn(*entry);
 }
 
-void ItemStore::for_each_transient(
+void ItemStore::for_each_outside(
+    const VersionSet& known,
     const std::function<void(const Entry&, TransientView)>& fn) {
-  for (const auto& [seq, entry] : order_)
-    fn(*entry, TransientView(entry->item));
+  std::vector<Entry*> outside;
+  for (const AuthorEntries& group : version_index_) {
+    VersionSet::AuthorCounters members = known.counters_of(group.author);
+    auto slot = group.by_counter.begin();
+    const auto end = group.by_counter.end();
+    // Counter 0 names no event (Version::valid), and whether the set
+    // holds it depends on more than the prefix: ask the set.
+    for (; slot != end && slot->first == 0; ++slot) {
+      if (slot->second != nullptr && !known.contains(group.author, 0))
+        outside.push_back(slot->second);
+    }
+    // One binary search skips the known prefix (no prefix + 1 is ever
+    // formed, so a hostile prefix of 2^64 - 1 cannot wrap)...
+    slot = std::upper_bound(slot, end, members.prefix, ByCounter{});
+    // ...and one merge pass skips the known extras and pinned counters.
+    for (; slot != end; ++slot) {
+      if (slot->second != nullptr && !members.seek(slot->first))
+        outside.push_back(slot->second);
+    }
+  }
+  std::sort(outside.begin(), outside.end(),
+            [](const Entry* a, const Entry* b) {
+              return a->arrival_seq < b->arrival_seq;
+            });
+  for (Entry* entry : outside) fn(*entry, TransientView(entry->item));
 }
 
 bool ItemStore::for_filter_matches(
@@ -206,9 +292,9 @@ void ItemStore::set_in_filter_for_test(ItemId id, bool in_filter) {
   PFRDTN_REQUIRE(it != entries_.end());
   Entry& entry = it->second;
   if (entry.in_filter == in_filter) return;
-  unindex(entry);
+  unindex_flags(entry);
   entry.in_filter = in_filter;
-  index(entry);
+  index_flags(entry);
 }
 
 }  // namespace pfrdtn::repl

@@ -19,7 +19,11 @@
 ///  - an inverted index over parsed `dest` addresses, so batch
 ///    building enumerates the candidates of an address filter (the DTN
 ///    common case) in O(matching) via for_filter_matches() instead of
-///    scanning every entry.
+///    scanning every entry,
+///  - a per-author version index (each author's entries in ascending
+///    counter order), so batch building enumerates the entries a
+///    target's knowledge lacks by set difference via for_each_outside()
+///    instead of asking the knowledge about every entry.
 /// Entries are therefore mutated only through store operations (put /
 /// supersede / refilter / remove); callers get const views plus a
 /// TransientView for the per-copy routing state, which no index
@@ -124,11 +128,19 @@ class ItemStore {
   /// Iterate all entries in arrival order (deterministic).
   void for_each(const std::function<void(const Entry&)>& fn) const;
 
-  /// Arrival-order iteration with mutable access to each entry's
-  /// transient state — the sync engine's general candidate scan, where
-  /// a policy may initialize per-copy routing state (e.g. a default
-  /// TTL) on the stored copy.
-  void for_each_transient(
+  /// Visit, in arrival order, every entry whose version event `known`
+  /// does not contain, with mutable access to its transient state —
+  /// the sync engine's general candidate scan, where a policy may
+  /// initialize per-copy routing state (e.g. a default TTL) on the
+  /// stored copy. The version index is walked one author at a time
+  /// against known.counters_of(author): one binary search skips the
+  /// entries inside the known prefix, and a merge with the known
+  /// extras and pinned counters skips the rest of the known ones. The
+  /// cost follows the entries above each author's known prefix and
+  /// the known counters there, not the store; only the survivors are
+  /// sorted and visited.
+  void for_each_outside(
+      const VersionSet& known,
       const std::function<void(const Entry&, TransientView)>& fn);
 
   /// Visit exactly the entries whose item matches `filter`, returning
@@ -177,11 +189,27 @@ class ItemStore {
   void set_next_arrival_seq(std::uint64_t seq);
 
  private:
-  /// Add/remove `entry` to the flag-derived indexes (counters,
-  /// evictable order, dest buckets). Every mutation is bracketed by
-  /// unindex/index so the derived state can never drift.
-  void index(const Entry& entry);
+  /// Add/remove `entry` to the derived indexes: the flag-derived ones
+  /// (counters, evictable order) and the payload-derived ones (dest
+  /// buckets, version index). Every mutation is bracketed by
+  /// unindex/index so the derived state can never drift; a change of
+  /// flags alone (refilter) brackets with the flag part only.
+  void index(Entry& entry);
   void unindex(const Entry& entry);
+  void index_flags(const Entry& entry);
+  void unindex_flags(const Entry& entry);
+
+  /// One author's entries, ascending by version counter. Two entries
+  /// may share a counter: a hostile peer can send two item ids with
+  /// one version, and both are stored. A removal nulls its slot rather
+  /// than shifting the ones after it (a FIFO eviction takes the
+  /// author's oldest, often lowest, counter); the null slots are
+  /// dropped in one pass once they are half the group.
+  struct AuthorEntries {
+    ReplicaId author;
+    std::vector<std::pair<std::uint64_t, Entry*>> by_counter;
+    std::size_t removed = 0;  ///< null slots in by_counter
+  };
 
   std::vector<Item> enforce_capacity();
 
@@ -200,6 +228,11 @@ class ItemStore {
   /// the indexed path dereferences candidates without a hash lookup.
   std::unordered_map<HostId, std::unordered_map<ItemId, const Entry*>>
       dest_index_;
+  /// Version index: one group per author, sorted by author; a group
+  /// left with no live slot is erased. Contiguous vectors of stable
+  /// Entry pointers, so a walk neither hashes an id nor chases tree
+  /// nodes.
+  std::vector<AuthorEntries> version_index_;
   std::size_t relay_count_ = 0;
   std::size_t evictable_count_ = 0;
   std::uint64_t next_seq_ = 0;

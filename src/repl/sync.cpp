@@ -94,8 +94,15 @@ SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
           return true;
         });
   } else {
-    store.for_each_transient([&](const ItemStore::Entry& entry,
-                                 TransientView stored) {
+    // Only an entry whose event the target's universal knowledge lacks
+    // can be unknown to it: the store's version index yields exactly
+    // those by set difference, and knows() settles the scoped
+    // fragments for them alone. The walk visits in arrival order, so
+    // every policy hook sees the call sequence a scan of every entry
+    // would make.
+    store.for_each_outside(request.knowledge.universal(),
+                           [&](const ItemStore::Entry& entry,
+                               TransientView stored) {
       if (request.knowledge.knows(entry.item, entry.item.version()))
         return;
       if (request.filter.matches(entry.item)) {

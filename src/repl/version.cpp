@@ -65,6 +65,14 @@ void insert_sorted(Counters& counters, std::uint64_t counter) {
   if (*it != counter) counters.insert(it, counter);
 }
 
+/// Number of members of `counters` in (low, high].
+std::uint64_t count_between(const Counters& counters, std::uint64_t low,
+                            std::uint64_t high) {
+  return static_cast<std::uint64_t>(
+      std::upper_bound(counters.begin(), counters.end(), high) -
+      std::upper_bound(counters.begin(), counters.end(), low));
+}
+
 bool erase_sorted(Counters& counters, std::uint64_t counter) {
   const auto it =
       std::lower_bound(counters.begin(), counters.end(), counter);
@@ -138,13 +146,9 @@ void VersionSet::unpin(ReplicaId author, std::uint64_t counter) {
 void VersionSet::add_prefix(ReplicaId author, std::uint64_t max_counter) {
   if (max_counter == 0) return;
   vv_.extend(author, max_counter);
-  const auto it = find_author(exceptions_, author);
-  if (it == exceptions_.end()) return;
   // Absorb extras (and release pinned ones) now inside the prefix.
-  Counters& pinned = it->pinned;
-  pinned.erase(pinned.begin(),
-               std::upper_bound(pinned.begin(), pinned.end(), max_counter));
-  compact(it);
+  const auto it = find_author(exceptions_, author);
+  if (it != exceptions_.end()) compact(it);
 }
 
 bool VersionSet::pin(ReplicaId author, std::uint64_t counter) {
@@ -158,12 +162,20 @@ bool VersionSet::pin(ReplicaId author, std::uint64_t counter) {
 }
 
 void VersionSet::compact(Groups::iterator group) {
-  Counters& extras = group->extras;
+  // A raised prefix (add_prefix(), merge()) absorbs the pins it now
+  // covers: a prefix member is no longer removable, and the exact codec
+  // admits no pinned counter at or below the prefix.
+  const std::uint64_t prefix = vv_.max_counter(group->author);
+  Counters& pinned = group->pinned;
+  if (!pinned.empty() && pinned.front() <= prefix) {
+    pinned.erase(pinned.begin(),
+                 std::upper_bound(pinned.begin(), pinned.end(), prefix));
+  }
   // Skip extras that fell inside the prefix (possible after merge()),
   // then fold the contiguous run above it. A pinned event would block
   // the run, but plain and pinned extras are disjoint, so a run of
   // plain extras never passes one.
-  const std::uint64_t prefix = vv_.max_counter(group->author);
+  Counters& extras = group->extras;
   auto done = std::upper_bound(extras.begin(), extras.end(), prefix);
   if (done != extras.end() && *done == prefix + 1) {
     std::uint64_t last = *done;
@@ -231,40 +243,52 @@ void VersionSet::merge(const VersionSet& other) {
   }
   std::move(mine, exceptions_.end(), std::back_inserter(merged));
   exceptions_ = std::move(merged);
-  // Merging the vectors may have absorbed or unblocked pre-existing
-  // extras. compact() erases emptied groups, so walk from the back.
-  for (auto i = exceptions_.size(); i-- > 0;) {
-    if (!exceptions_[i].extras.empty())
-      compact(exceptions_.begin() + static_cast<std::ptrdiff_t>(i));
-  }
+  // Merging the vectors may have absorbed pre-existing pins and
+  // absorbed or unblocked pre-existing extras. compact() erases emptied
+  // groups, so walk from the back.
+  for (auto i = exceptions_.size(); i-- > 0;)
+    compact(exceptions_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 bool VersionSet::contains_all(const VersionSet& other) const {
-  if (!vv_.covers(other.vv_)) {
-    // The vector part of `other` might still be covered via extras;
-    // check entry by entry (counters are dense from 1).
-    for (const auto& [author, counter] : other.vv_.entries()) {
-      for (std::uint64_t c = vv_.max_counter(author) + 1; c <= counter;
-           ++c) {
-        if (!contains(author, c)) return false;
-      }
-    }
-  }
-  for (const Exceptions& theirs : other.exceptions_) {
-    // Stored counters are >= 1, so "inside the prefix" is c <= prefix.
-    const std::uint64_t prefix = vv_.max_counter(theirs.author);
-    const auto mine = find_author(exceptions_, theirs.author);
-    const auto known = [&](std::uint64_t c) {
-      return c <= prefix ||
-             (mine != exceptions_.end() &&
-              (has(mine->extras, c) || has(mine->pinned, c)));
-    };
-    if (!std::all_of(theirs.extras.begin(), theirs.extras.end(), known) ||
-        !std::all_of(theirs.pinned.begin(), theirs.pinned.end(), known)) {
+  // Their prefix 1..q is covered iff our members fill the gap (p, q]
+  // above our own prefix p. Our extras and pinned counters are
+  // ascending, duplicate-free and disjoint, so the gap is full exactly
+  // when they hold q - p members inside it: two binary searches per
+  // vector, however wide the gap.
+  for (const auto& [author, counter] : other.vv_.entries()) {
+    const std::uint64_t prefix = vv_.max_counter(author);
+    if (counter <= prefix) continue;
+    const auto mine = find_author(exceptions_, author);
+    if (mine == exceptions_.end() ||
+        count_between(mine->extras, prefix, counter) +
+                count_between(mine->pinned, prefix, counter) !=
+            counter - prefix) {
       return false;
     }
   }
+  // Their extras and pins: each ascending run, above our prefix, is
+  // one merge pass against ours.
+  for (const Exceptions& theirs : other.exceptions_) {
+    for (const Counters* run : {&theirs.extras, &theirs.pinned}) {
+      AuthorCounters mine = counters_of(theirs.author);
+      for (auto c = std::upper_bound(run->begin(), run->end(), mine.prefix);
+           c != run->end(); ++c) {
+        if (!mine.seek(*c)) return false;
+      }
+    }
+  }
   return true;
+}
+
+VersionSet::AuthorCounters VersionSet::counters_of(ReplicaId author) const {
+  AuthorCounters counters{vv_.max_counter(author), {}, {}};
+  const auto group = find_author(exceptions_, author);
+  if (group != exceptions_.end()) {
+    counters.extras = group->extras;
+    counters.pinned = group->pinned;
+  }
+  return counters;
 }
 
 std::size_t VersionSet::extras_count() const {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "util/byte_buffer.hpp"
@@ -154,11 +155,40 @@ class VersionSet {
   [[nodiscard]] bool removable(ReplicaId author,
                                std::uint64_t counter) const;
 
-  /// Union with another set.
+  /// Union with another set. Local pins the merged prefix covers are
+  /// released, as add_prefix() releases them.
   void merge(const VersionSet& other);
 
-  /// True if every event in `other` is contained in this set.
+  /// True if every event in `other` is contained in this set. Costs
+  /// O(log n) per author of `other`'s vector part, whatever the width
+  /// of the gap above this set's prefix, plus one merge pass per author
+  /// over both sets' extras.
   [[nodiscard]] bool contains_all(const VersionSet& other) const;
+
+  /// One author's members as ascending runs, for walks that merge them
+  /// with another counter-sorted sequence: every counter in 1..prefix,
+  /// then `extras` and `pinned` — each ascending and duplicate-free,
+  /// disjoint from each other, and all above the prefix. The spans are
+  /// valid until the set next changes.
+  struct AuthorCounters {
+    std::uint64_t prefix = 0;
+    std::span<const std::uint64_t> extras;
+    std::span<const std::uint64_t> pinned;
+
+    /// Whether `counter`, above the prefix, is an extra or a pinned
+    /// member, for a walk that asks in ascending order: the members
+    /// below `counter` are dropped from the front of both runs, so the
+    /// whole walk is one merge pass over them.
+    bool seek(std::uint64_t counter) {
+      while (!extras.empty() && extras.front() < counter)
+        extras = extras.subspan(1);
+      while (!pinned.empty() && pinned.front() < counter)
+        pinned = pinned.subspan(1);
+      return (!extras.empty() && extras.front() == counter) ||
+             (!pinned.empty() && pinned.front() == counter);
+    }
+  };
+  [[nodiscard]] AuthorCounters counters_of(ReplicaId author) const;
 
   [[nodiscard]] const VersionVector& vector_part() const { return vv_; }
   [[nodiscard]] std::size_t extras_count() const;
@@ -225,9 +255,10 @@ class VersionSet {
 
   /// The author's group, inserted in author order when absent.
   Groups::iterator group_of(ReplicaId author);
-  /// Fold the group's plain extras into the vector prefix where they
-  /// have become contiguous and drop those the prefix already covers;
-  /// erases the group if that empties it.
+  /// Release the group's pins the vector prefix covers, fold its plain
+  /// extras into the prefix where they have become contiguous and drop
+  /// those the prefix already covers; erases the group if that empties
+  /// it.
   void compact(Groups::iterator group);
 
   VersionVector vv_;

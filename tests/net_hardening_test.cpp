@@ -40,7 +40,8 @@ TEST(Limits, PerTypePayloadCaps) {
                 static_cast<std::uint8_t>(repl::SyncFrame::BatchItem)),
             64u);
   // A frame type outside the protocol is itself a violation.
-  EXPECT_THROW(limits.frame_payload_cap(0x77), ContractViolation);
+  EXPECT_THROW(static_cast<void>(limits.frame_payload_cap(0x77)),
+               ContractViolation);
 }
 
 TEST(Limits, AdmitFrameRejectsOverCapHeaders) {

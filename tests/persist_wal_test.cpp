@@ -127,8 +127,9 @@ TEST(Wal, BitFlipsNeverCrashAndNeverGrowThePrefix) {
     EXPECT_LE(scan.valid_bytes, clean.valid_bytes) << "pos " << pos;
     // A flip in the header invalidates everything after it; a flip in
     // record i's frame or payload drops record i and the rest.
-    if (pos >= kWalHeaderSize && scan.valid_header)
+    if (pos >= kWalHeaderSize && scan.valid_header) {
       EXPECT_LT(scan.records.size(), payloads.size() + 1);
+    }
   }
 }
 

@@ -364,10 +364,9 @@ TEST(ItemStore, CopyIndexesOnlyItsOwnEntries) {
     std::sort(revisions.begin(), revisions.end());  // visit order is free
     return revisions;
   };
-  const auto in_arrival_order = [](ItemStore& store) {
+  const auto in_arrival_order = [](const ItemStore& store) {
     std::vector<std::uint64_t> ids;
-    store.for_each_transient([&](const ItemStore::Entry& entry,
-                                 TransientView) {
+    store.for_each([&](const ItemStore::Entry& entry) {
       ids.push_back(entry.item.id().value());
     });
     std::vector<std::uint64_t> scanned;

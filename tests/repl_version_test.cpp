@@ -190,6 +190,28 @@ TEST(VersionSet, MergeTreatsPinnedAsPlain) {
   EXPECT_EQ(a.vector_part().max_counter(ReplicaId(1)), 1u);
 }
 
+TEST(VersionSet, MergeReleasesPinsTheMergedPrefixCovers) {
+  // Regression: merge() kept a local pin that the merged-in prefix
+  // covered, so serialize_exact wrote a pinned counter below the prefix
+  // and deserialize_exact rejected the set ('counter > prefix').
+  VersionSet merged;
+  merged.add(ReplicaId(7), 3, /*pinned=*/true);
+  VersionSet prefix;
+  prefix.add_prefix(ReplicaId(7), 5);
+  merged.merge(prefix);
+  EXPECT_FALSE(merged.removable(ReplicaId(7), 3));
+  EXPECT_EQ(merged.extras_count(), 0u);
+  ByteWriter w;
+  merged.serialize_exact(w);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(VersionSet::deserialize_exact(r), merged);
+  // The same state reached through add_prefix is the same set.
+  VersionSet direct;
+  direct.add(ReplicaId(7), 3, /*pinned=*/true);
+  direct.add_prefix(ReplicaId(7), 5);
+  EXPECT_EQ(merged, direct);
+}
+
 TEST(VersionSet, ContainsAll) {
   VersionSet a, b;
   a.add(ReplicaId(1), 1);

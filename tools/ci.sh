@@ -154,7 +154,8 @@ run_shell_syntax() {
 }
 
 run_shell_syntax
-run_suite plain
+# The plain build is warning-free, and -Werror keeps it that way.
+run_suite plain -DCMAKE_CXX_FLAGS=-Werror
 run_suite asan-ubsan -DPFRDTN_SANITIZE=address,undefined
 run_suite tsan -DPFRDTN_SANITIZE=thread
 

@@ -98,6 +98,11 @@ grep -q "reject \[" "$WORK/server.log" ||
   fail "quarantined reconnect was not refused at accept time"
 grep -q "session deadline exceeded" "$WORK/server.log" ||
   fail "slow-loris was not cut by the session deadline"
+# The trickler never finishes its Hello, so its session has no peer.
+grep -q "peer=none transport_failed: .*session deadline exceeded" \
+  "$WORK/server.log" || fail "slow-loris session was not logged as peer=none"
+! grep -q "peer=18446744073709551615" "$WORK/server.log" ||
+  fail "a session without a Hello was logged with the unset replica id"
 
 # ---- 4. convergence: same-id pullers get byte-identical state -------
 sleep 0.4  # outlast the last quarantine window

@@ -690,13 +690,22 @@ int Serve::run() {
   callbacks.on_session = [&node](std::size_t session,
                                  const std::string& /*peer*/,
                                  const net::ServerSessionOutcome& outcome) {
+    const std::string failure =
+        outcome.transport_failed ? " transport_failed: " + outcome.error
+                                 : "";
+    // A session cut before its Hello has no peer and ran no sync: say
+    // so instead of printing the unset replica id and empty stats.
+    if (!outcome.hello.replica.valid()) {
+      std::printf("session %zu: peer=none%s\nstore=%zu\n", session,
+                  failure.c_str(), node.replica().store().size());
+      std::fflush(stdout);
+      return;
+    }
     std::printf("session %zu: peer=%llu mode=%u%s\n", session,
                 static_cast<unsigned long long>(
                     outcome.hello.replica.value()),
                 static_cast<unsigned>(outcome.hello.mode),
-                outcome.transport_failed
-                    ? (" transport_failed: " + outcome.error).c_str()
-                    : "");
+                failure.c_str());
     report_sync("  served", outcome.served.stats);
     report_sync("  applied", outcome.applied.result.stats);
     report_delivered(node.on_sync_delivered(
