@@ -311,12 +311,13 @@ void BM_KnowledgeSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeSerialize);
 
-/// The emulator's per-sync knowledge traffic on epidemic-shaped
-/// knowledge: 30 authors whose in-filter events have folded into the
-/// prefix, plus 330 pinned relay extras scattered above it. Each
-/// iteration copies it (as make_request and build_batch do), encodes
-/// and decodes it, and asks knows() once per relayed event and once
-/// per absent one — the build_batch candidate scan.
+/// Relay-heavy knowledge with holes: 30 authors whose in-filter events
+/// have folded into the prefix, plus 330 pinned relay extras scattered
+/// above it, which stay extras through the wire decode. Each iteration
+/// copies it, encodes and decodes it, and asks knows() once per
+/// relayed event and once per absent one. It is not the emulator's
+/// per-sync shape — a sync copies no knowledge, and the emulator's pins
+/// fold on decode — which BM_KnowledgeFoldingRoundTrip measures.
 void BM_KnowledgeRelayRoundTrip(benchmark::State& state) {
   constexpr std::uint64_t kAuthors = 30;
   Knowledge knowledge;
@@ -347,6 +348,43 @@ void BM_KnowledgeRelayRoundTrip(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_KnowledgeRelayRoundTrip);
+
+/// The emulator's per-sync knowledge shape: 30 authors, each with ~11
+/// relay receipts pinned contiguously above its prefix (~330 pins in
+/// all). The wire carries pins as plain extras, so the decoder folds
+/// every run into the vector: on seed 4 a ~439-byte knowledge decodes
+/// to 28 vector entries and no extras. Each iteration encodes it
+/// (served from the per-revision cache, as every sync after the first
+/// at a revision is), decodes it, and asks knows() for every pinned
+/// event and one absent event per author.
+void BM_KnowledgeFoldingRoundTrip(benchmark::State& state) {
+  constexpr std::uint64_t kAuthors = 30;
+  constexpr std::uint64_t kPins = 11;
+  Knowledge knowledge;
+  std::vector<Version> queries;
+  for (std::uint64_t a = 1; a <= kAuthors; ++a) {
+    const std::uint64_t prefix = 20 + 3 * a;
+    knowledge.add_authored_prefix(ReplicaId(a), prefix);
+    for (std::uint64_t c = prefix + 1; c <= prefix + kPins; ++c) {
+      knowledge.add_exact_pinned(Version{ReplicaId(a), c, 1});
+      queries.push_back(Version{ReplicaId(a), c, 1});
+    }
+    queries.push_back(Version{ReplicaId(a), prefix + kPins + 2, 1});
+  }
+  const Item probe(ItemId(1), Version{ReplicaId(1), 1, 1}, to(1), {});
+  for (auto _ : state) {
+    ByteWriter writer;
+    knowledge.serialize(writer);
+    ByteReader reader(writer.bytes());
+    const Knowledge decoded = Knowledge::deserialize(reader);
+    std::size_t known = 0;
+    for (const Version& v : queries) known += decoded.knows(probe, v);
+    benchmark::DoNotOptimize(known);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(queries.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_KnowledgeFoldingRoundTrip);
 
 void BM_FilterMatch(benchmark::State& state) {
   std::set<HostId> addrs;

@@ -6,23 +6,9 @@ namespace pfrdtn::net {
 
 namespace {
 
-std::vector<std::uint8_t> serialize_request(
-    const repl::SyncRequest& request) {
-  ByteWriter w;
-  request.serialize(w);
-  return w.take();
-}
-
 std::vector<std::uint8_t> serialize_item(const repl::Item& item) {
   ByteWriter w;
   item.serialize(w);
-  return w.take();
-}
-
-std::vector<std::uint8_t> serialize_knowledge(
-    const repl::Knowledge& knowledge) {
-  ByteWriter w;
-  knowledge.serialize(w);
   return w.take();
 }
 
@@ -112,9 +98,10 @@ void SourceSession::stream_batch(FrameSink& sink,
         sink.send(repl::SyncFrame::BatchItem, serialize_item(item));
     ++outcome_.stats.items_sent;
   }
-  outcome_.stats.batch_bytes += sink.send(
-      repl::SyncFrame::BatchEnd,
-      serialize_knowledge(batch.source_knowledge));
+  // The batch was built in this same step, so the knowledge it was
+  // built against is the one sent, encoded once per revision.
+  outcome_.stats.batch_bytes +=
+      sink.send(repl::SyncFrame::BatchEnd, source_->knowledge().wire());
 }
 
 void SourceSession::serve_request_frame(const Frame& frame,
@@ -283,11 +270,9 @@ void TargetSession::start(FrameSink& sink, ReplicaId source_id,
           sink.send(repl::SyncFrame::SummaryRequest, w.take());
       state_ = State::SummarySent;
     } else {
-      const repl::SyncRequest request =
-          repl::make_request(*target_, policy_, source_id, now);
-      request_bytes_ = sink.send(repl::SyncFrame::Request,
-                                 serialize_request(request));
-      state_ = State::RequestSent;
+      routing_state_ =
+          repl::request_routing_state(*target_, policy_, source_id, now);
+      send_exact(sink);
     }
   } catch (const TransportError& failure) {
     state_ = State::Failed;
@@ -302,13 +287,11 @@ void TargetSession::send_request(Connection& connection,
   start(sink, source_id, now);
 }
 
-void TargetSession::send_exact_fallback(FrameSink& sink) {
-  // The fallback reuses the routing state the summary carried, so the
-  // source's policy hooks see exactly one request for this sync.
-  const repl::SyncRequest request{target_->id(), target_->filter(),
-                                  target_->knowledge(), routing_state_};
-  request_bytes_ += sink.send(repl::SyncFrame::Request,
-                              serialize_request(request));
+void TargetSession::send_exact(FrameSink& sink) {
+  ByteWriter w;
+  repl::write_request(w, target_->id(), target_->filter(),
+                      target_->knowledge(), routing_state_);
+  request_bytes_ += sink.send(repl::SyncFrame::Request, w.take());
   state_ = State::RequestSent;
 }
 
@@ -320,7 +303,7 @@ void TargetSession::send_fallback(Connection& connection) {
         expect_frame(connection, repl::SyncFrame::SummaryMiss, budget());
     batch_bytes_ += miss.wire_bytes;
     repl::decode_summary_reply(miss.payload);
-    send_exact_fallback(sink);
+    send_exact(sink);
   } catch (const TransportError& failure) {
     state_ = State::Failed;
     pre_receive_failure_ = true;
@@ -361,7 +344,7 @@ void TargetSession::on_frame(const Frame& frame, FrameSink& sink) {
     }
     if (frame.type == repl::SyncFrame::SummaryMiss) {
       repl::decode_summary_reply(frame.payload);
-      send_exact_fallback(sink);
+      send_exact(sink);
       return;
     }
     PFRDTN_REQUIRE(frame.type == repl::SyncFrame::BatchBegin);

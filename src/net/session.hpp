@@ -287,8 +287,9 @@ class TargetSession {
   /// (BatchApplier construction is side-effect-free).
   repl::BatchApplier& ensure_applier();
   void begin_batch(const Frame& frame);
-  /// Emit the exact Request of the post-miss fallback.
-  void send_exact_fallback(FrameSink& sink);
+  /// Emit the exact Request — the opener, or the post-miss fallback —
+  /// written straight from the replica, with routing_state_.
+  void send_exact(FrameSink& sink);
 
   repl::Replica* target_;
   repl::ForwardingPolicy* policy_;
@@ -299,8 +300,8 @@ class TargetSession {
   std::size_t request_bytes_ = 0;
   /// Framed bytes of every batch-side frame consumed so far.
   std::size_t batch_bytes_ = 0;
-  /// Routing state sent with the summary, reused by the fallback so
-  /// the source's policy hooks see one request per sync.
+  /// Routing state sent with the opener: a summary's is reused by the
+  /// fallback, so the source's policy hooks see one request per sync.
   std::vector<std::uint8_t> routing_state_;
   std::optional<repl::BatchApplier> applier_;
   std::optional<repl::BatchBeginInfo> begin_;

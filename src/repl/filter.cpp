@@ -297,13 +297,19 @@ std::string Filter::node_str(const Node& node) {
     case Kind::MetaEquals:
       return node.key + "=" + node.value;
     case Kind::And:
-      return "(" + node_str(*node.children[0]) + " ∧ " +
-             node_str(*node.children[1]) + ")";
-    case Kind::Or:
-      return "(" + node_str(*node.children[0]) + " ∨ " +
-             node_str(*node.children[1]) + ")";
-    case Kind::Not:
-      return "¬" + node_str(*node.children[0]);
+    case Kind::Or: {
+      std::string out = "(";
+      out += node_str(*node.children[0]);
+      out += node.kind == Kind::And ? " ∧ " : " ∨ ";
+      out += node_str(*node.children[1]);
+      out += ')';
+      return out;
+    }
+    case Kind::Not: {
+      std::string out = "¬";
+      out += node_str(*node.children[0]);
+      return out;
+    }
   }
   return "?";
 }

@@ -24,32 +24,31 @@ void Knowledge::drop_fragments_matching(const Item& item) {
   if (dropped > 0) touch();
 }
 
-void Knowledge::add_fragment(Fragment fragment) {
-  if (fragment.scope.provably_empty() || fragment.versions.empty())
-    return;
+void Knowledge::add_fragment(const Filter& scope,
+                             const VersionSet& versions) {
   // Anything the universal set already covers adds nothing. (This is
-  // also what keeps the summary caches warm across converged syncs:
-  // re-learning knowledge we already hold must not bump the revision.)
-  if (universal_.contains_all(fragment.versions)) return;
+  // also what keeps the caches warm across converged syncs: re-learning
+  // knowledge we already hold must not bump the revision.)
+  if (scope.provably_empty() || covers(versions)) return;
   for (auto& existing : fragments_) {
-    if (existing.scope.equals(fragment.scope)) {
-      if (existing.versions.contains_all(fragment.versions)) return;
-      existing.versions.merge(fragment.versions);
+    if (existing.scope.equals(scope)) {
+      if (existing.versions.contains_all(versions)) return;
+      existing.versions.merge(versions);
       touch();
       return;
     }
     // Subsumed by a wider, richer fragment: drop the new one.
-    if (existing.scope.subsumes(fragment.scope) &&
-        existing.versions.contains_all(fragment.versions)) {
+    if (existing.scope.subsumes(scope) &&
+        existing.versions.contains_all(versions)) {
       return;
     }
   }
   // Drop existing fragments the new one strictly covers.
   std::erase_if(fragments_, [&](const Fragment& existing) {
-    return fragment.scope.subsumes(existing.scope) &&
-           fragment.versions.contains_all(existing.versions);
+    return scope.subsumes(existing.scope) &&
+           versions.contains_all(existing.versions);
   });
-  fragments_.push_back(std::move(fragment));
+  fragments_.push_back(Fragment{scope, versions});
   enforce_fragment_cap();
   touch();
 }
@@ -66,17 +65,12 @@ void Knowledge::enforce_fragment_cap() {
 
 void Knowledge::merge_scoped(const Knowledge& other, const Filter& scope) {
   if (scope.provably_empty()) return;
-  add_fragment(Fragment{scope, other.universal_});
+  add_fragment(scope, other.universal_);
   for (const Fragment& fragment : other.fragments_) {
-    add_fragment(
-        Fragment{scope.intersect(fragment.scope), fragment.versions});
+    // A claim the universal set covers needs no narrowed scope.
+    if (covers(fragment.versions)) continue;
+    add_fragment(scope.intersect(fragment.scope), fragment.versions);
   }
-}
-
-std::size_t Knowledge::size_bytes() const {
-  ByteWriter w;
-  serialize(w);
-  return w.size();
 }
 
 std::size_t Knowledge::weight() const {
@@ -86,14 +80,26 @@ std::size_t Knowledge::weight() const {
   return total;
 }
 
-std::uint64_t Knowledge::wire_digest() const {
-  if (digest_cache_revision_ != revision_) {
+const std::vector<std::uint8_t>& Knowledge::wire() const {
+  if (wire_.revision != revision_) {
     ByteWriter w;
-    serialize(w);
-    digest_cache_ = fnv1a64(w.bytes());
-    digest_cache_revision_ = revision_;
+    universal_.serialize(w);
+    w.uvarint(fragments_.size());
+    for (const Fragment& fragment : fragments_) {
+      fragment.scope.serialize(w);
+      fragment.versions.serialize(w);
+    }
+    wire_.bytes = w.take();
+    wire_.digest.reset();
+    wire_.revision = revision_;
   }
-  return digest_cache_;
+  return wire_.bytes;
+}
+
+std::uint64_t Knowledge::wire_digest() const {
+  const std::vector<std::uint8_t>& bytes = wire();
+  if (!wire_.digest) wire_.digest = fnv1a64(bytes);
+  return *wire_.digest;
 }
 
 std::uint64_t Knowledge::event_count() const {
@@ -103,24 +109,15 @@ std::uint64_t Knowledge::event_count() const {
   return total;
 }
 
-void Knowledge::serialize(ByteWriter& w) const {
-  universal_.serialize(w);
-  w.uvarint(fragments_.size());
-  for (const Fragment& fragment : fragments_) {
-    fragment.scope.serialize(w);
-    fragment.versions.serialize(w);
-  }
-}
-
 Knowledge Knowledge::deserialize(ByteReader& r) {
   Knowledge k;
   k.universal_ = VersionSet::deserialize(r);
   const std::uint64_t n = r.uvarint();
   for (std::uint64_t i = 0; i < n; ++i) {
     r.charge_elements();
-    Filter scope = Filter::deserialize(r);
-    VersionSet versions = VersionSet::deserialize(r);
-    k.add_fragment(Fragment{std::move(scope), std::move(versions)});
+    const Filter scope = Filter::deserialize(r);
+    const VersionSet versions = VersionSet::deserialize(r);
+    k.add_fragment(scope, versions);
   }
   return k;
 }

@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "repl/filter.hpp"
@@ -137,26 +138,33 @@ class Knowledge {
   }
 
   /// Metadata footprint in serialized bytes.
-  [[nodiscard]] std::size_t size_bytes() const;
+  [[nodiscard]] std::size_t size_bytes() const { return wire().size(); }
   /// Abstract weight (vector entries + extras across all parts) for
   /// compaction benchmarks.
   [[nodiscard]] std::size_t weight() const;
 
-  // ---- summaries (see summary.hpp, docs/net.md) ----------------------
+  // ---- derived views, cached per revision ----------------------------
   //
-  // The summary-exchange fast path needs two derived views of this
-  // knowledge: a digest of its wire-serialized form (equal digests =>
-  // byte-identical wire knowledge) and a Bloom filter over every known
-  // event. Both are cached against `revision_`, which every mutation
-  // that actually changes the value bumps — so in the converged steady
-  // state a summary costs O(1) per sync instead of a rebuild.
+  // The wire encoding, its digest (the summary exchange's "equal digests
+  // => byte-identical wire knowledge", summary.hpp and docs/net.md) and
+  // a Bloom filter over every known event are cached against
+  // `revision_`, which every mutation that actually changes the value
+  // bumps. A replica's knowledge is encoded once per value however many
+  // syncs send it, and in the converged steady state a summary costs
+  // O(1) per sync instead of a rebuild.
 
-  /// Monotone change counter: bumps exactly when the knowledge value
-  /// changes (no-op merges and duplicate adds leave it untouched, which
-  /// is what keeps the summary caches warm across converged syncs).
+  /// Change counter: a mutator bumps it exactly when it changes the
+  /// value (no-op merges and duplicate adds leave it untouched, which is
+  /// what keeps the caches warm across converged syncs). An assignment
+  /// takes the assigned knowledge's revision, caches included, so a
+  /// replica's refilter can move it backwards.
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
-  /// FNV-1a 64 digest of serialize()'s output, cached per revision.
+  /// serialize()'s output, encoded at most once per revision. Valid
+  /// until this knowledge next changes.
+  [[nodiscard]] const std::vector<std::uint8_t>& wire() const;
+
+  /// FNV-1a 64 digest of wire(), cached with it.
   [[nodiscard]] std::uint64_t wire_digest() const;
 
   /// Total known events: universal plus fragment version sets
@@ -171,7 +179,8 @@ class Knowledge {
   [[nodiscard]] std::shared_ptr<const BloomFilter> bloom(
       const SummaryParams& params) const;
 
-  void serialize(ByteWriter& w) const;
+  /// Appends wire().
+  void serialize(ByteWriter& w) const { w.append(wire()); }
   static Knowledge deserialize(ByteReader& r);
 
   /// Structure-preserving codec for checkpoints (src/persist/): keeps
@@ -183,20 +192,49 @@ class Knowledge {
   static Knowledge deserialize_exact(ByteReader& r);
 
  private:
-  void add_fragment(Fragment fragment);
+  /// True if a claim on `versions` adds nothing whatever its scope.
+  [[nodiscard]] bool covers(const VersionSet& versions) const {
+    return versions.empty() || universal_.contains_all(versions);
+  }
+  /// Record the claim "every event in `versions` is known for items
+  /// matching `scope`". Every check runs against the borrowed set; it
+  /// is copied only when it is stored as a new fragment.
+  void add_fragment(const Filter& scope, const VersionSet& versions);
   void enforce_fragment_cap();
 
-  /// Invalidate the summary caches after a real value change.
+  /// Invalidate the caches after a real value change.
   void touch() { ++revision_; }
+
+  /// The wire encoding at one revision. Copying it keeps it consistent
+  /// with the copied value; moving it leaves the source stale, since a
+  /// moved-from knowledge keeps its revision but not its value.
+  struct WireCache {
+    std::uint64_t revision = 0;  ///< 0: stale (revisions start at 1)
+    std::vector<std::uint8_t> bytes;
+    std::optional<std::uint64_t> digest;  ///< of `bytes`, on demand
+
+    WireCache() = default;
+    WireCache(const WireCache&) = default;
+    WireCache& operator=(const WireCache&) = default;
+    WireCache(WireCache&& other) noexcept
+        : revision(std::exchange(other.revision, 0)),
+          bytes(std::move(other.bytes)),
+          digest(other.digest) {}
+    WireCache& operator=(WireCache&& other) noexcept {
+      revision = std::exchange(other.revision, 0);
+      bytes = std::move(other.bytes);
+      digest = other.digest;
+      return *this;
+    }
+  };
 
   VersionSet universal_;
   std::vector<Fragment> fragments_;
 
   std::uint64_t revision_ = 1;
-  // Summary caches: value-derived, so copying them along with the
-  // object keeps them consistent (the Bloom cache is shared immutably).
-  mutable std::uint64_t digest_cache_revision_ = 0;
-  mutable std::uint64_t digest_cache_ = 0;
+  // Value-derived caches, copied along with the value (the Bloom cache
+  // is shared immutably).
+  mutable WireCache wire_;
   mutable std::uint64_t bloom_cache_revision_ = 0;
   mutable std::optional<SummaryParams> bloom_cache_params_;
   mutable std::shared_ptr<const BloomFilter> bloom_cache_;

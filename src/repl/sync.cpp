@@ -4,11 +4,17 @@
 
 namespace pfrdtn::repl {
 
-void SyncRequest::serialize(ByteWriter& w) const {
+void write_request(ByteWriter& w, ReplicaId target, const Filter& filter,
+                   const Knowledge& knowledge,
+                   const std::vector<std::uint8_t>& routing_state) {
   w.uvarint(target.value());
   filter.serialize(w);
   knowledge.serialize(w);
   w.raw(routing_state);
+}
+
+void SyncRequest::serialize(ByteWriter& w) const {
+  write_request(w, target, filter, knowledge, routing_state);
 }
 
 SyncRequest SyncRequest::deserialize(ByteReader& r) {
@@ -57,13 +63,19 @@ struct Candidate {
 
 }  // namespace
 
+std::vector<std::uint8_t> request_routing_state(
+    const Replica& target, ForwardingPolicy* target_policy,
+    ReplicaId source_id, SimTime now) {
+  if (target_policy == nullptr) return {};
+  return target_policy->generate_request(
+      SyncContext{target.id(), source_id, now});
+}
+
 SyncRequest make_request(Replica& target, ForwardingPolicy* target_policy,
                          ReplicaId source_id, SimTime now) {
-  const SyncContext target_ctx{target.id(), source_id, now};
   return SyncRequest{
       target.id(), target.filter(), target.knowledge(),
-      target_policy ? target_policy->generate_request(target_ctx)
-                    : std::vector<std::uint8_t>{}};
+      request_routing_state(target, target_policy, source_id, now)};
 }
 
 SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
@@ -141,7 +153,6 @@ SyncBatch build_batch(Replica& source, ForwardingPolicy* source_policy,
   SyncBatch batch;
   batch.source = source.id();
   batch.complete = complete;
-  batch.source_knowledge = source.knowledge();
   batch.items.reserve(candidates.size());
   for (const Candidate& candidate : candidates) {
     const auto* entry = store.find(candidate.id);
@@ -205,14 +216,12 @@ SummaryRequestInfo make_summary_request(Replica& target,
                                         ForwardingPolicy* target_policy,
                                         ReplicaId source_id, SimTime now,
                                         const SummaryParams& params) {
-  const SyncContext target_ctx{target.id(), source_id, now};
   SummaryRequestInfo req;
   req.target = target.id();
   req.filter = target.filter();
   req.summary = summarize(target.knowledge(), params);
-  req.routing_state = target_policy
-                          ? target_policy->generate_request(target_ctx)
-                          : std::vector<std::uint8_t>{};
+  req.routing_state =
+      request_routing_state(target, target_policy, source_id, now);
   return req;
 }
 
@@ -237,13 +246,13 @@ SummaryAnswer answer_summary(Replica& source,
 
   if (options.unsafe_summary_skip_fallback) {
     // TESTING ONLY — the skip-fallback mutant: answer the mismatch with
-    // an empty "complete" batch carrying real knowledge, so the target
-    // learns events for items it never received. The check harness's
-    // knowledge-soundness oracle must flag exactly this.
+    // an empty "complete" batch, whose BatchEnd carries the source's
+    // real knowledge, so the target learns events for items it never
+    // received. The check harness's knowledge-soundness oracle must
+    // flag exactly this.
     answer.kind = SummaryAnswer::Kind::Batch;
     answer.batch.source = source.id();
     answer.batch.complete = true;
-    answer.batch.source_knowledge = source.knowledge();
     return answer;
   }
 

@@ -40,12 +40,21 @@ struct SyncRequest {
   static SyncRequest deserialize(ByteReader& r);
 };
 
+/// The one Request encoder: SyncRequest::serialize's bytes, written
+/// from the parts themselves, so a target sends its request straight
+/// from its replica without copying its knowledge into a SyncRequest.
+void write_request(ByteWriter& w, ReplicaId target, const Filter& filter,
+                   const Knowledge& knowledge,
+                   const std::vector<std::uint8_t>& routing_state);
+
 /// What the source returns. It travels as BatchBegin / BatchItem /
-/// BatchEnd frames, never as one message.
+/// BatchEnd frames, never as one message. The BatchEnd frame carries
+/// the source's knowledge, encoded from the source replica as the
+/// batch is streamed: a batch is built and streamed in one step, so
+/// the knowledge cannot change in between and the batch holds no copy.
 struct SyncBatch {
   ReplicaId source{};
   std::vector<Item> items;  ///< priority order
-  Knowledge source_knowledge;
   /// True iff every filter-matching unknown item was included (policy
   /// extras may still have been truncated). Gates knowledge learning.
   bool complete = true;
@@ -124,7 +133,16 @@ struct SyncResult {
 // net-layer session machines run each step on its own side of a
 // transport; run_sync drives those machines in process.
 
-/// Target step 1: assemble the request this replica sends to `source`.
+/// Target step 1: the routing state this replica's policy attaches to
+/// its request to `source_id` (empty without a policy). It runs the
+/// policy's generate_request, exactly once per sync.
+std::vector<std::uint8_t> request_routing_state(
+    const Replica& target, ForwardingPolicy* target_policy,
+    ReplicaId source_id, SimTime now);
+
+/// Target step 1 as one value: the request this replica sends to
+/// `source`, holding a copy of its knowledge. The session machines send
+/// the same bytes without the copy (write_request).
 SyncRequest make_request(Replica& target, ForwardingPolicy* target_policy,
                          ReplicaId source_id, SimTime now);
 
@@ -213,7 +231,7 @@ struct SummaryAnswer {
 };
 
 /// Target summary step 1: assemble the summary request. Runs the
-/// policy's generate_request exactly like make_request does.
+/// policy's generate_request through request_routing_state.
 SummaryRequestInfo make_summary_request(Replica& target,
                                         ForwardingPolicy* target_policy,
                                         ReplicaId source_id, SimTime now,

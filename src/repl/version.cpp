@@ -19,28 +19,83 @@ Version Version::deserialize(ByteReader& r) {
   return v;
 }
 
-bool VersionVector::covers(const VersionVector& other) const {
-  for (const auto& [author, counter] : other.max_) {
-    if (max_counter(author) < counter) return false;
+namespace {
+
+using Entry = VersionVector::Entry;
+
+bool author_less(const Entry& a, const Entry& b) {
+  return a.author < b.author;
+}
+
+/// Author-sorted entries: fold each author's run of entries into one
+/// that holds the run's maximum counter, the value extend() keeps.
+void keep_max_per_author(std::vector<Entry>& entries) {
+  if (entries.empty()) return;
+  auto kept = entries.begin();
+  for (auto it = std::next(kept); it != entries.end(); ++it) {
+    if (it->author == kept->author) {
+      kept->counter = std::max(kept->counter, it->counter);
+    } else {
+      *++kept = *it;
+    }
   }
-  return true;
+  entries.erase(std::next(kept), entries.end());
+}
+
+}  // namespace
+
+void VersionVector::extend(ReplicaId author, std::uint64_t counter) {
+  const auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                   Entry{author, 0}, author_less);
+  if (it != entries_.end() && it->author == author) {
+    it->counter = std::max(it->counter, counter);
+    return;
+  }
+  entries_.insert(it, Entry{author, counter});
+}
+
+void VersionVector::merge(const VersionVector& other) {
+  const auto mine = static_cast<std::ptrdiff_t>(entries_.size());
+  entries_.insert(entries_.end(), other.entries_.begin(),
+                  other.entries_.end());
+  std::inplace_merge(entries_.begin(), entries_.begin() + mine,
+                     entries_.end(), author_less);
+  keep_max_per_author(entries_);
+}
+
+bool VersionVector::covers(const VersionVector& other) const {
+  return std::all_of(other.entries_.begin(), other.entries_.end(),
+                     [&](const Entry& entry) {
+                       return max_counter(entry.author) >= entry.counter;
+                     });
 }
 
 void VersionVector::serialize(ByteWriter& w) const {
-  w.uvarint(max_.size());
-  for (const auto& [author, counter] : max_) {
-    w.uvarint(author.value());
-    w.uvarint(counter);
+  w.uvarint(entries_.size());
+  for (const Entry& entry : entries_) {
+    w.uvarint(entry.author.value());
+    w.uvarint(entry.counter);
   }
 }
 
 VersionVector VersionVector::deserialize(ByteReader& r) {
   VersionVector vv;
   const std::uint64_t n = r.uvarint();
+  // Every entry takes at least two bytes: never trust `n` further.
+  vv.entries_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, r.remaining() / 2)));
+  bool ascending = true;  // strictly: no author out of order or repeated
   for (std::uint64_t i = 0; i < n; ++i) {
     r.charge_elements();
     const ReplicaId author(r.uvarint());
-    vv.extend(author, r.uvarint());
+    ascending = ascending &&
+                (vv.entries_.empty() || vv.entries_.back().author < author);
+    vv.entries_.push_back(Entry{author, r.uvarint()});
+  }
+  if (!ascending) {
+    // A hostile order costs one sort.
+    std::stable_sort(vv.entries_.begin(), vv.entries_.end(), author_less);
+    keep_max_per_author(vv.entries_);
   }
   return vv;
 }
@@ -328,28 +383,41 @@ void VersionSet::serialize(ByteWriter& w) const {
 VersionSet VersionSet::deserialize(ByteReader& r) {
   VersionSet vs;
   vs.vv_ = VersionVector::deserialize(r);
-  // Groups are read as sent — an honest peer sends one ascending group
-  // per author, in author order — and canonicalized afterwards, so a
-  // hostile encoding (wrapping or repeated counters, descending or
-  // repeated authors) costs one sort, O(n log n), never a sorted
-  // insert per counter.
+  // Every group's counters are read as sent into one buffer, with a
+  // table of runs, and canonicalized afterwards: an honest peer sends
+  // one ascending group per author, in author order, which needs no
+  // further work, and a hostile encoding (wrapping or repeated
+  // counters, descending or repeated authors) costs one sort per
+  // author, O(n log n), never a sorted insert per counter.
   struct Run {
     ReplicaId author;
-    Counters counters;
+    std::size_t begin = 0;  // [begin, end) in `counters`
+    std::size_t end = 0;
     bool ascending = true;  // strictly, with no wrap-around
     bool has_zero = false;
     bool has_one = false;
   };
+  Counters counters;
   std::vector<Run> runs;
-  bool authors_ascending = true;
+  bool canonical = true;  // authors and every run strictly ascending
   const std::uint64_t groups = r.uvarint();
+  // Every group takes at least two bytes: never trust `groups` further.
+  runs.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(groups, r.remaining() / 2)));
   for (std::uint64_t g = 0; g < groups; ++g) {
     r.charge_elements();
-    Run run{ReplicaId(r.uvarint()), {}};
+    Run run{ReplicaId(r.uvarint()), counters.size()};
     const std::uint64_t n = r.uvarint();
-    // Every delta takes at least one byte: never trust `n` further.
-    run.counters.reserve(
-        static_cast<std::size_t>(std::min<std::uint64_t>(n, r.remaining())));
+    // Every delta takes at least one byte: never trust `n` further, and
+    // never hold more slots than counters read plus bytes left.
+    const std::size_t bound = counters.size() + r.remaining();
+    const std::size_t want =
+        counters.size() +
+        static_cast<std::size_t>(std::min<std::uint64_t>(n, r.remaining()));
+    if (want > counters.capacity()) {
+      counters.reserve(
+          std::max(want, std::min(2 * counters.capacity(), bound)));
+    }
     std::uint64_t counter = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       r.charge_elements();
@@ -359,51 +427,78 @@ VersionSet VersionSet::deserialize(ByteReader& r) {
       counter += delta;  // a hostile run may wrap; sorted out below
       run.has_zero = run.has_zero || counter == 0;
       run.has_one = run.has_one || counter == 1;
-      run.counters.push_back(counter);
+      counters.push_back(counter);
     }
-    authors_ascending = authors_ascending &&
-                        (runs.empty() || runs.back().author < run.author);
-    runs.push_back(std::move(run));
+    run.end = counters.size();
+    canonical = canonical && run.ascending &&
+                (runs.empty() || runs.back().author < run.author);
+    runs.push_back(run);
   }
-  if (!authors_ascending) {
+  if (!canonical) {
     std::stable_sort(runs.begin(), runs.end(),
                      [](const Run& a, const Run& b) {
                        return a.author < b.author;
                      });
   }
+
+  // Fold each author's counters straight into the prefix. Authors
+  // ascend, so one cursor walks the vector alongside them; folds for
+  // authors absent from it are collected in author order and merged in
+  // one pass at the end, so no fold shifts the vector.
+  auto entry = vs.vv_.entries_.begin();
+  VersionVector folded;
+  Counters gathered;  // a non-canonical author's runs, concatenated
   for (auto first = runs.begin(); first != runs.end();) {
     const ReplicaId author = first->author;
-    Counters counters = std::move(first->counters);
-    bool sorted = first->ascending;
+    while (entry != vs.vv_.entries_.end() && entry->author < author)
+      ++entry;
+    const bool present =
+        entry != vs.vv_.entries_.end() && entry->author == author;
     // The codec compacts per group: a zero counter, kept only for an
     // author absent from the vector, sits below the prefix and stops
     // its group's fold. So an absent author folds only once a zero-free
     // group ends with counter 1 seen; anything else folds as usual.
-    bool may_fold = vs.vv_.includes(author, 0);
+    bool may_fold = present;
     bool seen_one = false;
     auto last = first;
     do {
-      if (last != first) {
-        counters.insert(counters.end(), last->counters.begin(),
-                        last->counters.end());
-        sorted = false;
-      }
       seen_one = seen_one || last->has_one;
       may_fold = may_fold || (seen_one && !last->has_zero);
     } while (++last != runs.end() && last->author == author);
-    first = last;
-    if (!sorted) {
-      std::sort(counters.begin(), counters.end());
-      counters.erase(std::unique(counters.begin(), counters.end()),
-                     counters.end());
+    // One canonical span per author: a lone ascending run as read,
+    // anything else gathered, sorted and deduplicated.
+    std::span<const std::uint64_t> span(counters.data() + first->begin,
+                                        first->end - first->begin);
+    if (std::next(first) != last || !first->ascending) {
+      gathered.clear();
+      for (auto run = first; run != last; ++run) {
+        gathered.insert(gathered.end(), counters.begin() + run->begin,
+                        counters.begin() + run->end);
+      }
+      std::sort(gathered.begin(), gathered.end());
+      gathered.erase(std::unique(gathered.begin(), gathered.end()),
+                     gathered.end());
+      span = gathered;
     }
-    counters.erase(counters.begin(),
-                   std::upper_bound(counters.begin(), counters.end(),
-                                    vs.vv_.max_counter(author)));
-    if (counters.empty()) continue;
-    vs.exceptions_.push_back(Exceptions{author, std::move(counters), {}});
-    if (may_fold) vs.compact(std::prev(vs.exceptions_.end()));
+    first = last;
+
+    const std::uint64_t prefix = present ? entry->counter : 0;
+    auto keep = std::upper_bound(span.begin(), span.end(), prefix);
+    if (may_fold && keep != span.end() && *keep == prefix + 1) {
+      std::uint64_t top = *keep;
+      while (++keep != span.end() && *keep == top + 1) ++top;
+      if (present) {
+        entry->counter = top;
+      } else {
+        folded.entries_.push_back({author, top});
+      }
+    }
+    if (keep != span.end()) {
+      vs.exceptions_.push_back(
+          Exceptions{author, Counters(keep, span.end()), {}});
+    }
   }
+  if (!folded.entries_.empty()) vs.vv_.merge(folded);
   return vs;
 }
 

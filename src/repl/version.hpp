@@ -16,8 +16,8 @@
 /// same item (the DTN workload never updates items concurrently, so
 /// this never influences the reproduced experiments; see DESIGN.md).
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -57,38 +57,46 @@ struct Version {
 
 /// Classic version vector: maps each replica to the highest contiguous
 /// counter known for it ("knows (r, c) for every 1 <= c <= vv[r]").
+///
+/// Stored flat: one author-sorted vector of entries, so a lookup is a
+/// binary search, a merge is one linear pass and a copy is one
+/// allocation. An entry may hold 0 (decoded from the wire, or merged
+/// from a set that did) and is kept: includes(author, 0) tells a
+/// present author from an absent one, and the wire decoder's fold rule
+/// depends on it (docs/knowledge.md).
 class VersionVector {
  public:
+  struct Entry {
+    ReplicaId author;
+    std::uint64_t counter = 0;
+
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+
   [[nodiscard]] bool includes(ReplicaId author,
                               std::uint64_t counter) const {
-    const auto it = max_.find(author);
-    return it != max_.end() && counter <= it->second;
+    const Entry* entry = find(author);
+    return entry != nullptr && counter <= entry->counter;
   }
 
   [[nodiscard]] std::uint64_t max_counter(ReplicaId author) const {
-    const auto it = max_.find(author);
-    return it == max_.end() ? 0 : it->second;
+    const Entry* entry = find(author);
+    return entry == nullptr ? 0 : entry->counter;
   }
 
-  /// Raise this vector's entry for `author` to at least `counter`.
-  void extend(ReplicaId author, std::uint64_t counter) {
-    auto& entry = max_[author];
-    if (counter > entry) entry = counter;
-  }
+  /// Raise this vector's entry for `author` to at least `counter`
+  /// (inserting it, even at 0, when absent).
+  void extend(ReplicaId author, std::uint64_t counter);
 
   /// Pointwise maximum.
-  void merge(const VersionVector& other) {
-    for (const auto& [author, counter] : other.max_)
-      extend(author, counter);
-  }
+  void merge(const VersionVector& other);
 
   /// True if every entry of `other` is covered by this vector.
   [[nodiscard]] bool covers(const VersionVector& other) const;
 
-  [[nodiscard]] std::size_t entry_count() const { return max_.size(); }
-  [[nodiscard]] const std::map<ReplicaId, std::uint64_t>& entries() const {
-    return max_;
-  }
+  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
+  /// Every entry, ascending by author.
+  [[nodiscard]] std::span<const Entry> entries() const { return entries_; }
 
   friend bool operator==(const VersionVector&,
                          const VersionVector&) = default;
@@ -97,7 +105,19 @@ class VersionVector {
   static VersionVector deserialize(ByteReader& r);
 
  private:
-  std::map<ReplicaId, std::uint64_t> max_;
+  [[nodiscard]] const Entry* find(ReplicaId author) const {
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), author,
+        [](const Entry& entry, ReplicaId a) { return entry.author < a; });
+    return it != entries_.end() && it->author == author ? &*it : nullptr;
+  }
+
+  /// The wire decoder of VersionSet folds runs into the entries in
+  /// place, walking them alongside its author-sorted runs.
+  friend class VersionSet;
+
+  /// Ascending by author, one entry per author.
+  std::vector<Entry> entries_;
 };
 
 /// A set of update events (author, counter), stored as a version vector
@@ -111,11 +131,12 @@ class VersionVector {
 /// of relay (out-of-filter) item copies, which may be evicted later and
 /// must then become re-receivable (see knowledge.hpp / DESIGN.md).
 ///
-/// Layout: the extras live in one author-sorted vector of per-author
-/// groups, each holding two ascending, duplicate-free counter vectors
-/// (plain and pinned, disjoint). Membership is a binary search, a copy
-/// is one allocation per author, and the codecs stream each group
-/// without building an intermediate container (docs/knowledge.md).
+/// Layout: the flat version vector, and the extras in one author-sorted
+/// vector of per-author groups, each holding two ascending,
+/// duplicate-free counter vectors (plain and pinned, disjoint).
+/// Membership is a binary search, a copy is one allocation per author
+/// with extras, and the codecs stream each group without building an
+/// intermediate container (docs/knowledge.md).
 class VersionSet {
  public:
   /// Record that the update event of `v` is a member. Pinned events

@@ -120,9 +120,11 @@ void Emulation::inject(const trace::MessageEvent& event) {
       assignment_[day][index_of(event.recipient)];
   dtn::DtnNode& node = *nodes_[sender_bus];
 
+  std::string body = "m";
+  body += std::to_string(metrics_.injected_count());
   const dtn::MessageId id = node.send(
-      event.sender, {bus_address(recipient_bus)},
-      "m" + std::to_string(metrics_.injected_count()), event.time);
+      event.sender, {bus_address(recipient_bus)}, std::move(body),
+      event.time);
   metrics_.on_injected(id, event.sender, event.recipient, event.time);
   // Degenerate case: sender and recipient ride the same bus today.
   if (node.has_delivered(id)) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,11 @@ class ByteWriter {
 
   void raw(const std::vector<std::uint8_t>& data) {
     uvarint(data.size());
+    append(data);
+  }
+
+  /// Append already-encoded bytes as they are, with no length prefix.
+  void append(std::span<const std::uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }
 

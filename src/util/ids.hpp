@@ -26,7 +26,9 @@ class StrongId {
   friend constexpr auto operator<=>(StrongId, StrongId) = default;
 
   [[nodiscard]] std::string str() const {
-    return Tag::prefix() + std::to_string(value_);
+    std::string out = Tag::prefix();
+    out += std::to_string(value_);
+    return out;
   }
 
   static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};

@@ -32,13 +32,15 @@ std::map<std::string, std::string> to(std::uint64_t dest) {
 }
 
 /// A batch's frame payloads, concatenated in the order a transport
-/// sends them: BatchBegin, one BatchItem per item, BatchEnd.
-std::vector<std::uint8_t> frame_payloads(const repl::SyncBatch& batch) {
+/// sends them: BatchBegin, one BatchItem per item, and the BatchEnd
+/// carrying the knowledge of the source that built the batch.
+std::vector<std::uint8_t> frame_payloads(
+    const repl::SyncBatch& batch, const repl::Knowledge& source_knowledge) {
   ByteWriter w;
   for (const std::uint8_t byte : repl::encode_batch_begin(batch))
     w.u8(byte);
   for (const repl::Item& item : batch.items) item.serialize(w);
-  batch.source_knowledge.serialize(w);
+  source_knowledge.serialize(w);
   return w.take();
 }
 
@@ -110,7 +112,8 @@ TEST(Checkpoint, RecoveredReplicaBuildsByteIdenticalBatches) {
   const repl::SyncBatch from_recovered =
       repl::build_batch(recovered, nullptr, request, SimTime(0));
 
-  EXPECT_EQ(frame_payloads(from_original), frame_payloads(from_recovered));
+  EXPECT_EQ(frame_payloads(from_original, original.knowledge()),
+            frame_payloads(from_recovered, recovered.knowledge()));
 }
 
 TEST(Checkpoint, FileRoundTripCarriesEpoch) {

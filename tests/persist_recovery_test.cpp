@@ -28,13 +28,15 @@ Replica make_replica(std::uint64_t id, std::uint64_t addr) {
 }
 
 /// A batch's frame payloads, concatenated in the order a transport
-/// sends them: BatchBegin, one BatchItem per item, BatchEnd.
-std::vector<std::uint8_t> frame_payloads(const repl::SyncBatch& batch) {
+/// sends them: BatchBegin, one BatchItem per item, and the BatchEnd
+/// carrying the knowledge of the source that built the batch.
+std::vector<std::uint8_t> frame_payloads(
+    const repl::SyncBatch& batch, const repl::Knowledge& source_knowledge) {
   ByteWriter w;
   for (const std::uint8_t byte : repl::encode_batch_begin(batch))
     w.u8(byte);
   for (const repl::Item& item : batch.items) item.serialize(w);
-  batch.source_knowledge.serialize(w);
+  source_knowledge.serialize(w);
   return w.take();
 }
 
@@ -275,10 +277,12 @@ TEST(Recovery, RecoveredReplicaSyncsByteIdentically) {
   Replica target = make_replica(9, 5);
   const repl::SyncRequest request =
       repl::make_request(target, nullptr, replica.id(), SimTime(0));
-  EXPECT_EQ(frame_payloads(
-                repl::build_batch(replica, nullptr, request, SimTime(0))),
-            frame_payloads(repl::build_batch(recovered->replica, nullptr,
-                                             request, SimTime(0))));
+  EXPECT_EQ(
+      frame_payloads(repl::build_batch(replica, nullptr, request, SimTime(0)),
+                     replica.knowledge()),
+      frame_payloads(repl::build_batch(recovered->replica, nullptr, request,
+                                       SimTime(0)),
+                     recovered->replica.knowledge()));
 }
 
 TEST(Recovery, DeliveredLedgerSurvivesCrash) {

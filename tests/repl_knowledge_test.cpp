@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "repl/replica.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace pfrdtn::repl {
@@ -230,6 +234,116 @@ TEST(Knowledge, WeightCountsFragments) {
   source.add_exact(v(5, 2));
   k.merge_scoped(source, Filter::addresses({HostId(1)}));
   EXPECT_GE(k.weight(), 1u);
+}
+
+/// Whether serialize(), size_bytes() and wire_digest() — all served
+/// from the per-revision wire cache — match a cache-free rebuild: the
+/// exact codec's round trip, a new object that has never encoded.
+::testing::AssertionResult encodes_its_value(const Knowledge& k) {
+  ByteWriter exact;
+  k.serialize_exact(exact);
+  ByteReader r(exact.bytes());
+  const Knowledge rebuilt = Knowledge::deserialize_exact(r);
+  ByteWriter want;
+  rebuilt.serialize(want);
+  ByteWriter got;
+  k.serialize(got);
+  if (got.bytes() != want.bytes())
+    return ::testing::AssertionFailure() << "serialize() is stale";
+  if (k.size_bytes() != want.size())
+    return ::testing::AssertionFailure() << "size_bytes() is stale";
+  if (k.wire_digest() != fnv1a64(want.bytes()))
+    return ::testing::AssertionFailure() << "wire_digest() is stale";
+  return ::testing::AssertionSuccess();
+}
+
+/// Random sequences over every mutator of a replica's knowledge and of
+/// a second knowledge it trades with. Each check fills the caches, so
+/// a mutation that changes the value without bumping the revision
+/// leaves a stale encoding the next check sees.
+TEST(KnowledgeWireCache, MatchesACacheFreeRebuildAfterEveryMutation) {
+  const Filter filters[] = {
+      Filter::addresses({HostId(1)}), Filter::addresses({HostId(2)}),
+      Filter::addresses({HostId(1), HostId(2)}), Filter::all()};
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    Rng rng(seed);
+    Replica replica(ReplicaId(1), filters[0]);
+    Knowledge peer;
+    for (int step = 0; step < 150; ++step) {
+      const bool mine = rng.below(2) == 0;
+      Knowledge& k = mine ? replica.knowledge_mutable() : peer;
+      const Knowledge& other = mine ? peer : replica.knowledge();
+      const Version ver{ReplicaId(2 + rng.below(4)), 1 + rng.below(12), 1};
+      const Filter& filter = filters[rng.below(std::size(filters))];
+      std::string op;
+      switch (rng.below(11)) {
+        case 0:
+          op = "add_exact";
+          k.add_exact(ver);
+          break;
+        case 1:
+          op = "add_exact_pinned";
+          k.add_exact_pinned(ver);
+          break;
+        case 2:
+          op = "add_authored_prefix";
+          k.add_authored_prefix(ver.author, ver.counter);
+          break;
+        case 3:
+          op = "forget_exact";
+          k.forget_exact(ver);
+          break;
+        case 4:
+          op = "drop_fragments_matching";
+          k.drop_fragments_matching(message_to(1 + rng.below(2)));
+          break;
+        case 5:
+          op = "merge_scoped";
+          k.merge_scoped(other, filter);
+          break;
+        case 6: {
+          op = "copy";
+          const Knowledge copy = k;
+          ASSERT_TRUE(encodes_its_value(copy))
+              << "seed " << seed << " step " << step << " after " << op;
+          break;
+        }
+        case 7:
+          op = "copy-assign";
+          k = other;
+          break;
+        case 8: {
+          op = "move-assign";
+          Knowledge moved = other;
+          k = std::move(moved);
+          // The class invariant holds for the moved-from object too: it
+          // never serves the encoding it gave away.
+          // NOLINTNEXTLINE(bugprone-use-after-move)
+          ASSERT_TRUE(encodes_its_value(moved))
+              << "seed " << seed << " step " << step << " after " << op;
+          break;
+        }
+        case 9: {
+          op = "apply_remote";
+          const Item item(ItemId(100 * ver.author.value() + ver.counter),
+                          ver,
+                          {{meta::kDest, std::to_string(1 + rng.below(2))}},
+                          {});
+          std::vector<Item> evicted;
+          replica.apply_remote(item, evicted);
+          break;
+        }
+        case 10:
+          op = "refilter";  // rebuild_knowledge
+          replica.set_filter(filter);
+          break;
+      }
+      ASSERT_TRUE(encodes_its_value(replica.knowledge()))
+          << "seed " << seed << " step " << step << " after " << op;
+      ASSERT_TRUE(encodes_its_value(peer))
+          << "seed " << seed << " step " << step << " after " << op;
+    }
+  }
 }
 
 }  // namespace

@@ -310,8 +310,7 @@ TEST(Sync, FactoredStepsMatchRunSync) {
   const SyncBatch batch = build_batch(src_b, nullptr, request, SimTime(0));
   BatchApplier applier(dst_b, {});
   for (const Item& item : batch.items) applier.apply(item);
-  const auto stepped =
-      applier.finish(batch.complete, batch.source_knowledge);
+  const auto stepped = applier.finish(batch.complete, src_b.knowledge());
 
   EXPECT_EQ(whole.stats.items_sent, stepped.stats.items_sent);
   EXPECT_EQ(whole.stats.items_new, stepped.stats.items_new);
@@ -360,12 +359,10 @@ TEST(Sync, BatchApplierFinishMatchesApplyBatch) {
   // knowledge decoded from its own payload.
   BatchApplier wire(dst_a, {});
   for (const Item& item : batch.items) wire.apply(reencoded(item));
-  const auto whole =
-      wire.finish(batch.complete, reencoded(batch.source_knowledge));
+  const auto whole = wire.finish(batch.complete, reencoded(src.knowledge()));
   BatchApplier applier(dst_b, {});
   for (const Item& item : batch.items) applier.apply(item);
-  const auto stepped =
-      applier.finish(batch.complete, batch.source_knowledge);
+  const auto stepped = applier.finish(batch.complete, src.knowledge());
 
   EXPECT_EQ(whole.stats.items_new, stepped.stats.items_new);
   EXPECT_EQ(whole.stats.complete, stepped.stats.complete);

@@ -4,7 +4,9 @@
 
 #include <chrono>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -614,6 +616,137 @@ TEST(VersionSetCodec, HostileRequestSizedSetDecodesInNLogN) {
   EXPECT_FALSE(got.contains(ReplicaId(1), 1));
   // Generous even for sanitizer builds; a quadratic decoder misses it
   // by an order of magnitude.
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+}
+
+/// What a vector decode did with some bytes: the re-encoded vector and
+/// the bytes it consumed, or the message it threw.
+struct VectorDecode {
+  std::vector<std::uint8_t> encoded;
+  std::size_t consumed = 0;
+  std::string thrown;
+
+  friend bool operator==(const VectorDecode&,
+                         const VectorDecode&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const VectorDecode& d) {
+    return os << d.encoded.size() << " bytes from " << d.consumed
+              << " consumed, thrown '" << d.thrown << "'";
+  }
+};
+
+/// Reference for the flat vector's decoder: the node-based map it
+/// replaced, fed entry by entry through extend()'s keep-the-maximum
+/// rule, with the same element charges.
+VectorDecode reference_vector_decode(const std::vector<std::uint8_t>& bytes,
+                                     std::size_t budget) {
+  ByteReader r(bytes);
+  r.set_element_budget(budget);
+  std::map<std::uint64_t, std::uint64_t> vv;
+  VectorDecode out;
+  try {
+    for (std::uint64_t n = r.uvarint(); n > 0; --n) {
+      r.charge_elements();
+      const std::uint64_t a = r.uvarint();
+      const std::uint64_t c = r.uvarint();
+      auto& entry = vv[a];
+      if (c > entry) entry = c;
+    }
+  } catch (const ContractViolation& e) {
+    out.thrown = e.what();
+    return out;
+  }
+  ByteWriter w;
+  w.uvarint(vv.size());
+  for (const auto& [a, c] : vv) {
+    w.uvarint(a);
+    w.uvarint(c);
+  }
+  out.encoded = w.take();
+  out.consumed = bytes.size() - r.remaining();
+  return out;
+}
+
+VectorDecode flat_vector_decode(const std::vector<std::uint8_t>& bytes,
+                                std::size_t budget) {
+  ByteReader r(bytes);
+  r.set_element_budget(budget);
+  VectorDecode out;
+  try {
+    const VersionVector vv = VersionVector::deserialize(r);
+    ByteWriter w;
+    vv.serialize(w);
+    out.encoded = w.take();
+  } catch (const ContractViolation& e) {
+    out.thrown = e.what();
+    return out;
+  }
+  out.consumed = bytes.size() - r.remaining();
+  return out;
+}
+
+/// Differential: small hostile encodings — authors out of order and
+/// repeated, zero counters, a claimed count the bytes do not hold, cut
+/// encodings and tight element budgets — decode, or throw, exactly as
+/// the map + extend reference does. The re-encoding compares zero
+/// entries too, so includes(author, 0) still tells a present author
+/// from an absent one.
+TEST(VersionVectorCodec, HostileDecodeMatchesMapReference) {
+  constexpr std::uint64_t kCounters[] = {0, 0, 1, 2, 7, 300,
+                                         ~std::uint64_t{0}};
+  for (std::uint64_t seed = 0; seed < 4000; ++seed) {
+    Rng rng(seed);
+    ByteWriter w;
+    const std::uint64_t entries = rng.below(7);
+    // Sometimes claim more entries than follow.
+    w.uvarint(entries + (rng.below(8) == 0 ? 1 + rng.below(3) : 0));
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      w.uvarint(rng.below(5));
+      w.uvarint(kCounters[rng.below(std::size(kCounters))]);
+    }
+    std::vector<std::uint8_t> bytes = w.take();
+    if (rng.below(6) == 0) bytes.resize(rng.below(bytes.size() + 1));
+    const std::size_t budget = rng.below(4) == 0
+                                   ? static_cast<std::size_t>(rng.below(6))
+                                   : static_cast<std::size_t>(-1);
+    ASSERT_EQ(flat_vector_decode(bytes, budget),
+              reference_vector_decode(bytes, budget))
+        << "seed " << seed;
+  }
+}
+
+/// 10^6 vector entries in descending author order, one author in ten
+/// repeated with a smaller counter, decode to the sorted vector in
+/// O(n log n). A sorted insert per entry would move ~2.5 * 10^11
+/// entries here.
+TEST(VersionVectorCodec, HostileReverseOrderedVectorDecodesInNLogN) {
+  constexpr std::uint64_t kAuthors = 1'000'000;
+  ByteWriter w;
+  w.uvarint(kAuthors + kAuthors / 10);
+  for (std::uint64_t a = kAuthors; a >= 1; --a) {
+    w.uvarint(a);
+    w.uvarint(a % 7);  // zeros included
+    if (a % 10 == 0) {
+      w.uvarint(a);
+      w.uvarint(a % 7 / 2);
+    }
+  }
+  VersionVector want;
+  for (std::uint64_t a = 1; a <= kAuthors; ++a)
+    want.extend(ReplicaId(a), a % 7);  // ascending: an append each
+
+  const auto start = std::chrono::steady_clock::now();
+  ByteReader r(w.bytes());
+  r.set_element_budget(2u << 20);
+  const VersionVector got = VersionVector::deserialize(r);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.entry_count(), kAuthors);
+  EXPECT_TRUE(got.includes(ReplicaId(7), 0));
+  EXPECT_FALSE(got.includes(ReplicaId(7), 1));
+  EXPECT_EQ(got.max_counter(ReplicaId(20)), 6u);
+  // Generous even for sanitizer builds; a quadratic decoder misses it
+  // by orders of magnitude.
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 

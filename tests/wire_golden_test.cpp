@@ -97,7 +97,6 @@ SyncBatch corpus_batch() {
   SyncBatch batch;
   batch.source = ReplicaId(9);
   batch.items = {plain_item(), tombstone_item(), bare_item()};
-  batch.source_knowledge = corpus_knowledge();
   return batch;
 }
 
@@ -220,8 +219,8 @@ TEST(WireGolden, FramesAreByteIdentical) {
   std::size_t batch_bytes = framed_size(encode_batch_begin(batch).size());
   for (const Item& item : batch.items)
     batch_bytes += framed([&](ByteWriter& w) { item.serialize(w); });
-  batch_bytes += framed(
-      [&](ByteWriter& w) { batch.source_knowledge.serialize(w); });
+  batch_bytes +=
+      framed([&](ByteWriter& w) { corpus_knowledge().serialize(w); });
   EXPECT_EQ(batch_bytes, 193u);
   EXPECT_EQ(framed([&](ByteWriter& w) { summary_request.serialize(w); }),
             28u);
@@ -255,7 +254,7 @@ TEST(WireGolden, CorpusRoundTrips) {
   EXPECT_EQ(copies[2].version(), bare_item().version());
 
   ByteWriter w;
-  batch.source_knowledge.serialize(w);
+  corpus_knowledge().serialize(w);
   ByteReader r(w.bytes());
   const Knowledge knowledge = Knowledge::deserialize(r);
   EXPECT_TRUE(r.done());
