@@ -8,6 +8,8 @@
 #include "check/mutant_env.hpp"
 #include "check/oracle.hpp"
 #include "net/chaos.hpp"
+#include "net/loopback.hpp"
+#include "net/session.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/durability.hpp"
 #include "persist/fault_env.hpp"
@@ -492,14 +494,13 @@ class Engine {
 
     std::string note;
     for (std::size_t attempt = 0;; ++attempt) {
-      net::LoopbackFaults faults;
       // Attempt 0 carries the event's own cut budget; re-dials consult
       // the materialized per-retry schedule (0 = clean attempt).
       const std::uint32_t cut_budget =
           attempt == 0 ? event.fault.cut_after_bytes.value_or(0)
                        : event.retry_cuts[attempt - 1];
-      if (cut_budget > 0) faults.cut_after_bytes = cut_budget;
-      faults.bytes_per_second = event.fault.bytes_per_second;
+      std::optional<std::size_t> window;
+      if (cut_budget > 0) window = cut_budget;
 
       ++result_.stats.syncs;
       if (attempt > 0) {
@@ -520,7 +521,7 @@ class Engine {
       try {
         if (event.encounter) {
           const auto outcome = net::encounter_over_loopback(
-              target, source, &policy_, &policy_, now, options, faults);
+              target, source, &policy_, &policy_, now, options, window);
           check_monotone(index, event.actor, seen_actor,
                          outcome.a_pulled.result);
           check_monotone(index, event.peer, seen_peer,
@@ -547,7 +548,7 @@ class Engine {
                   (outcome.b_applied.refused ? " REFUSED" : "");
         } else {
           const auto outcome = net::sync_over_loopback(
-              source, target, &policy_, &policy_, now, options, faults);
+              source, target, &policy_, &policy_, now, options, window);
           check_monotone(index, event.actor, seen_actor,
                          outcome.client.result);
           audit_receives(index, event.actor, outcome.client.result);

@@ -44,7 +44,9 @@ struct SyncFault {
   std::optional<std::uint32_t> cut_after_bytes;
   /// Bandwidth cap (repl::SyncOptions::max_items) for this contact.
   std::optional<std::uint32_t> max_items;
-  /// Modeled throughput for transfer-time accounting (0 = infinite).
+  /// Drawn and printed (`bps=`) so every seed's schedule replays, but
+  /// no longer applied: the in-process sync keeps no transfer-time
+  /// account.
   std::uint32_t bytes_per_second = 0;
 };
 
@@ -209,8 +211,9 @@ struct RunResult {
   std::vector<std::string> log;
 };
 
-/// Execute a scenario over the real sync stack (loopback transport +
-/// TargetSession/run_source), probing every invariant after each event.
+/// Execute a scenario over the real sync stack (the TargetSession and
+/// SourceSession machines on the in-process pump, serve_session for
+/// adversaries), probing every invariant after each event.
 RunResult run_scenario(const Scenario& scenario, bool keep_log = false);
 
 /// Render one event as a stable, replay-friendly line.

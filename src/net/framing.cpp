@@ -3,39 +3,15 @@
 namespace pfrdtn::net {
 
 std::size_t write_frame(Connection& connection, repl::SyncFrame type,
-                        const std::vector<std::uint8_t>& payload) {
+                        const std::vector<std::uint8_t>& payload,
+                        SessionBudget& budget) {
+  budget.charge(framed_size(payload.size()));
   std::uint8_t header[kFrameHeaderSize];
   encode_frame_header(static_cast<std::uint8_t>(type),
                       static_cast<std::uint32_t>(payload.size()), header);
   connection.write(header, kFrameHeaderSize);
   if (!payload.empty()) connection.write(payload.data(), payload.size());
   return framed_size(payload.size());
-}
-
-Frame read_frame(Connection& connection) {
-  std::uint8_t header_bytes[kFrameHeaderSize];
-  connection.read(header_bytes, kFrameHeaderSize);
-  const FrameHeader header = decode_frame_header(header_bytes);
-  Frame frame;
-  frame.type = static_cast<repl::SyncFrame>(header.type);
-  frame.payload.resize(header.length);
-  if (header.length > 0)
-    connection.read(frame.payload.data(), header.length);
-  frame.wire_bytes = framed_size(header.length);
-  return frame;
-}
-
-Frame expect_frame(Connection& connection, repl::SyncFrame type) {
-  Frame frame = read_frame(connection);
-  PFRDTN_REQUIRE(frame.type == type);
-  return frame;
-}
-
-std::size_t write_frame(Connection& connection, repl::SyncFrame type,
-                        const std::vector<std::uint8_t>& payload,
-                        SessionBudget& budget) {
-  budget.charge(framed_size(payload.size()));
-  return write_frame(connection, type, payload);
 }
 
 Frame read_frame(Connection& connection, SessionBudget& budget) {

@@ -25,10 +25,11 @@ struct Frame {
 
 /// Where a session state machine emits its frames. The machines in
 /// session.hpp never touch a Connection directly: they call send() and
-/// the host decides whether that blocks on a socket (the blocking and
-/// loopback drives) or lands in an in-memory buffer the event loop
-/// flushes as the peer drains it (src/net/server.hpp). Returns the
-/// frame's wire footprint (header + payload bytes).
+/// the host decides whether that blocks on a socket (the blocking
+/// loop), goes straight to the peer machine (the in-process pump), or
+/// lands in an in-memory buffer the event loop flushes as the peer
+/// drains it (src/net/server.hpp). Returns the frame's wire footprint
+/// (header + payload bytes).
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
@@ -99,35 +100,29 @@ class FrameDecoder {
   std::optional<FrameHeader> header_;
 };
 
+// ---- framed I/O over a Connection ------------------------------------
+//
+// The hardened session boundary: every framed read and write is
+// accounted against the session's SessionBudget. On read, the decoded
+// header is admitted (per-type payload cap, unknown-type rejection,
+// session byte ceiling) BEFORE the payload buffer is allocated — an
+// eight-byte header from a hostile peer cannot command a 64 MiB
+// allocation. Writes charge the same ceiling so a session serving a
+// greedy peer is bounded in both directions. Breaches throw
+// ResourceLimitError.
+
 /// Write one frame; returns its wire footprint. Throws TransportError
 /// if the link fails (possibly after a prefix was delivered).
-std::size_t write_frame(Connection& connection, repl::SyncFrame type,
-                        const std::vector<std::uint8_t>& payload);
-
-/// Read one frame. Throws TransportError if the link fails, and
-/// ContractViolation if the peer sent bytes that are not a frame.
-Frame read_frame(Connection& connection);
-
-/// Read one frame and require the given type (protocol step mismatch
-/// is a ContractViolation — the peer is broken, not the link).
-Frame expect_frame(Connection& connection, repl::SyncFrame type);
-
-// ---- budgeted variants -----------------------------------------------
-//
-// The hardened session boundary: the same operations, accounted against
-// a SessionBudget. On read, the decoded header is admitted (per-type
-// payload cap, unknown-type rejection, session byte ceiling) BEFORE the
-// payload buffer is allocated — an eight-byte header from a hostile
-// peer can no longer command a 64 MiB allocation. Writes charge the
-// same ceiling so a session serving a greedy peer is bounded in both
-// directions. Breaches throw ResourceLimitError.
-
 std::size_t write_frame(Connection& connection, repl::SyncFrame type,
                         const std::vector<std::uint8_t>& payload,
                         SessionBudget& budget);
 
+/// Read one frame. Throws TransportError if the link fails, and
+/// ContractViolation if the peer sent bytes that are not a frame.
 Frame read_frame(Connection& connection, SessionBudget& budget);
 
+/// Read one frame and require the given type (protocol step mismatch
+/// is a ContractViolation — the peer is broken, not the link).
 Frame expect_frame(Connection& connection, repl::SyncFrame type,
                    SessionBudget& budget);
 

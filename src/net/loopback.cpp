@@ -1,6 +1,5 @@
 #include "net/loopback.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -28,21 +27,7 @@ struct LoopbackLink::State {
   Pipe to_b;
   std::size_t delivered = 0;
   double seconds = 0.0;
-  bool cut = false;  ///< contact window closed by the byte budget
-
-  /// Remaining byte budget, if the contact window is bounded.
-  [[nodiscard]] std::size_t budget_left() const {
-    if (!faults.cut_after_bytes) return SIZE_MAX;
-    return *faults.cut_after_bytes -
-           std::min(*faults.cut_after_bytes, delivered);
-  }
-
-  void charge(std::size_t bytes) {
-    seconds += faults.latency_seconds;
-    if (faults.bytes_per_second > 0)
-      seconds += static_cast<double>(bytes) /
-                 static_cast<double>(faults.bytes_per_second);
-  }
+  bool cut = false;  ///< link cut by the session deadline
 
   [[nodiscard]] bool past_deadline() const {
     return faults.deadline_seconds && seconds > *faults.deadline_seconds;
@@ -58,17 +43,9 @@ class LoopbackLink::Endpoint : public Connection {
     if (closed_ || state_->cut)
       throw TransportError("loopback: write on closed link");
     auto& inbox = is_a_ ? state_->to_b : state_->to_a;
-    const std::size_t deliverable =
-        std::min(size, state_->budget_left());
-    inbox.bytes.insert(inbox.bytes.end(), data, data + deliverable);
-    state_->delivered += deliverable;
-    state_->charge(deliverable);
-    if (deliverable < size) {
-      state_->cut = true;
-      throw TransportError(
-          "loopback: contact window closed after " +
-          std::to_string(state_->delivered) + " bytes");
-    }
+    inbox.bytes.insert(inbox.bytes.end(), data, data + size);
+    state_->delivered += size;
+    state_->seconds += state_->faults.latency_seconds;
     // The write that pushes simulated time past the session deadline
     // still delivers (it was in flight), but the link is cut for
     // everything after it — the loopback analogue of the TCP deadline.
@@ -83,7 +60,7 @@ class LoopbackLink::Endpoint : public Connection {
   void read(std::uint8_t* data, std::size_t size) override {
     if (closed_) throw TransportError("loopback: read on closed link");
     auto& inbox = is_a_ ? state_->to_a : state_->to_b;
-    // Half-duplex discipline: by the time a side reads, the peer has
+    // Sequential discipline: by the time a side reads, the peer has
     // written everything it will write — missing bytes mean the link
     // was cut (or the peer failed) mid-message.
     if (inbox.available() < size)

@@ -2,18 +2,19 @@
 
 /// \file loopback.hpp
 /// In-memory transport: two Connection endpoints joined by buffered
-/// byte queues, with injectable faults. Single-threaded by design —
-/// the sync protocol is strictly half-duplex (request, then batch), so
-/// a sequential driver can run client and server steps alternately and
-/// every read finds its bytes already buffered. Used by the emulator's
-/// transport mode and by the fault-injection tests.
+/// byte queues, plus a simulated clock. Single-threaded by design: a
+/// sequential caller writes everything one side will say before the
+/// other side reads, so every read finds its bytes already buffered
+/// (missing bytes mean the writer stopped mid-message). The check
+/// harness's chaos adversary pre-writes its attack into one end and
+/// serve_session reads it from the other; the unit tests use it as a
+/// plain byte pipe.
 ///
-/// Faults model a DTN contact window: `cut_after_bytes` ends the
-/// contact after a byte budget (the write that crosses the budget
-/// delivers its in-budget prefix and then fails, exactly like a radio
-/// link dying mid-stream), while `bytes_per_second` / `latency_seconds`
-/// feed a transfer-time account the emulator can charge against
-/// encounter durations.
+/// The clock charges a fixed latency per write, and a session deadline
+/// in simulated seconds cuts the link, so slow-loris behaviour is
+/// testable deterministically. In-process syncs do not use this link:
+/// the pump in session.hpp hands frames across directly and owns the
+/// contact window.
 
 #include <memory>
 #include <optional>
@@ -23,15 +24,10 @@
 namespace pfrdtn::net {
 
 struct LoopbackFaults {
-  /// End the contact after this many bytes total across both
-  /// directions; bytes beyond the budget are never delivered.
-  std::optional<std::size_t> cut_after_bytes;
-  /// Modeled throughput for transfer-time accounting (0 = infinite).
-  std::size_t bytes_per_second = 0;
   /// Modeled fixed delay charged per write (store-and-forward hop).
   double latency_seconds = 0.0;
   /// Absolute session deadline in simulated seconds: the write whose
-  /// transfer-time charge crosses it cuts the link, mirroring the TCP
+  /// latency charge crosses it cuts the link, mirroring the TCP
   /// wall-clock deadline so slow-loris behaviour is testable
   /// deterministically inside the check harness.
   std::optional<double> deadline_seconds;
@@ -50,7 +46,7 @@ class LoopbackLink {
 
   /// Bytes actually delivered across the link (both directions).
   [[nodiscard]] std::size_t bytes_delivered() const;
-  /// Modeled transfer time consumed so far.
+  /// Simulated time consumed so far.
   [[nodiscard]] double simulated_seconds() const;
 
  private:

@@ -1,5 +1,8 @@
 #include "net/session.hpp"
 
+#include <algorithm>
+#include <deque>
+
 #include "util/storage_error.hpp"
 
 namespace pfrdtn::net {
@@ -81,10 +84,10 @@ void check_routing_blob(const std::vector<std::uint8_t>& blob,
 
 // ---- SourceSession ---------------------------------------------------
 
-void SourceSession::fail(const TransportError& failure) {
+void SourceSession::on_transport_error(const std::string& what) {
   outcome_.transport_failed = true;
   outcome_.stats.complete = false;
-  outcome_.error = failure.what();
+  outcome_.error = what;
   state_ = State::Failed;
 }
 
@@ -107,20 +110,19 @@ void SourceSession::stream_batch(FrameSink& sink,
 void SourceSession::serve_request_frame(const Frame& frame,
                                         FrameSink& sink,
                                         bool process_routing_state) {
-  SessionBudget& b = budget();
+  const ResourceLimits& limits = budget_->limits();
   ByteReader reader(frame.payload);
-  reader.set_element_budget(b.limits().max_decode_elements);
+  reader.set_element_budget(limits.max_decode_elements);
   const repl::SyncRequest request = repl::SyncRequest::deserialize(reader);
   PFRDTN_REQUIRE(reader.done());
-  check_knowledge_weight(request.knowledge, b.limits());
-  check_routing_blob(request.routing_state, b.limits());
+  check_knowledge_weight(request.knowledge, limits);
+  check_routing_blob(request.routing_state, limits);
   stream_batch(sink, repl::build_batch(*source_, policy_, request, now_,
                                        options_, process_routing_state));
 }
 
 void SourceSession::on_frame(const Frame& frame, FrameSink& sink) {
   PFRDTN_REQUIRE(wants_frame());
-  SessionBudget& b = budget();
 
   if (state_ == State::AwaitExact) {
     PFRDTN_REQUIRE(frame.type == repl::SyncFrame::Request);
@@ -163,11 +165,11 @@ void SourceSession::on_frame(const Frame& frame, FrameSink& sink) {
 
   PFRDTN_REQUIRE(frame.type == repl::SyncFrame::SummaryRequest);
   ByteReader reader(frame.payload);
-  reader.set_element_budget(b.limits().max_decode_elements);
+  reader.set_element_budget(budget_->limits().max_decode_elements);
   const repl::SummaryRequestInfo request =
       repl::SummaryRequestInfo::deserialize(reader);
   PFRDTN_REQUIRE(reader.done());
-  check_routing_blob(request.routing_state, b.limits());
+  check_routing_blob(request.routing_state, budget_->limits());
   const repl::SummaryAnswer answer =
       repl::answer_summary(*source_, policy_, request, now_, options_);
   switch (answer.kind) {
@@ -190,46 +192,6 @@ void SourceSession::on_frame(const Frame& frame, FrameSink& sink) {
       return;
   }
   throw ContractViolation("invalid summary answer");
-}
-
-void SourceSession::serve_opener(Connection& connection) {
-  PFRDTN_REQUIRE(state_ == State::Idle);
-  SessionBudget& b = budget();
-  ConnectionFrameSink sink(connection, b);
-  try {
-    // Read any frame and let on_frame() validate it: with summaries
-    // off it still admits only Request — or the Error refusal.
-    const Frame opener = read_frame(connection, b);
-    on_frame(opener, sink);
-  } catch (const TransportError& failure) {
-    fail(failure);
-  }
-}
-
-void SourceSession::serve_exact(Connection& connection) {
-  PFRDTN_REQUIRE(state_ == State::AwaitExact);
-  SessionBudget& b = budget();
-  ConnectionFrameSink sink(connection, b);
-  try {
-    const Frame request_frame =
-        expect_frame(connection, repl::SyncFrame::Request, b);
-    on_frame(request_frame, sink);
-  } catch (const TransportError& failure) {
-    fail(failure);
-  }
-}
-
-SourceStats run_source(Connection& connection, repl::Replica& source,
-                       repl::ForwardingPolicy* source_policy, SimTime now,
-                       const repl::SyncOptions& options,
-                       SessionBudget* budget) {
-  SourceSession session(source, source_policy, now, options, budget);
-  session.serve_opener(connection);
-  // On a live transport the peer's fallback Request is already on its
-  // way when the miss reply lands, so blocking here is the whole drive.
-  if (session.state() == SourceSession::State::AwaitExact)
-    session.serve_exact(connection);
-  return session.take_stats();
 }
 
 // ---- TargetSession ---------------------------------------------------
@@ -275,16 +237,8 @@ void TargetSession::start(FrameSink& sink, ReplicaId source_id,
       send_exact(sink);
     }
   } catch (const TransportError& failure) {
-    state_ = State::Failed;
-    pre_receive_failure_ = true;
-    error_ = failure.what();
+    on_transport_error(failure.what());
   }
-}
-
-void TargetSession::send_request(Connection& connection,
-                                 ReplicaId source_id, SimTime now) {
-  ConnectionFrameSink sink(connection, budget());
-  start(sink, source_id, now);
 }
 
 void TargetSession::send_exact(FrameSink& sink) {
@@ -295,26 +249,10 @@ void TargetSession::send_exact(FrameSink& sink) {
   state_ = State::RequestSent;
 }
 
-void TargetSession::send_fallback(Connection& connection) {
-  PFRDTN_REQUIRE(state_ == State::SummarySent);
-  ConnectionFrameSink sink(connection, budget());
-  try {
-    const Frame miss =
-        expect_frame(connection, repl::SyncFrame::SummaryMiss, budget());
-    batch_bytes_ += miss.wire_bytes;
-    repl::decode_summary_reply(miss.payload);
-    send_exact(sink);
-  } catch (const TransportError& failure) {
-    state_ = State::Failed;
-    pre_receive_failure_ = true;
-    error_ = failure.what();
-  }
-}
-
 void TargetSession::begin_batch(const Frame& frame) {
   const repl::BatchBeginInfo begin =
       repl::decode_batch_begin(frame.payload);
-  const ResourceLimits& limits = budget().limits();
+  const ResourceLimits& limits = budget_->limits();
   if (begin.count > limits.max_batch_items) {
     throw ResourceLimitError(
         "batch announces " + std::to_string(begin.count) +
@@ -329,7 +267,7 @@ void TargetSession::begin_batch(const Frame& frame) {
 
 void TargetSession::on_frame(const Frame& frame, FrameSink& sink) {
   PFRDTN_REQUIRE(wants_frame());
-  const ResourceLimits& limits = budget().limits();
+  const ResourceLimits& limits = budget_->limits();
   batch_bytes_ += frame.wire_bytes;
 
   if (state_ == State::SummarySent) {
@@ -400,60 +338,129 @@ NetSyncResult TargetSession::take_result() {
   outcome.refused = refused_;
   if (refused_) outcome.error = error_;
   outcome.result.stats.request_bytes = request_bytes_;
-  outcome.result.stats.batch_bytes =
-      pre_receive_failure_ ? 0 : batch_bytes_;
+  outcome.result.stats.batch_bytes = batch_bytes_;
   return outcome;
 }
 
-NetSyncResult TargetSession::receive(Connection& connection) {
-  // Already finished before the receive phase: a failed opening write,
-  // or a read-only refusal that ended the session at start().
-  if (finished()) return take_result();
-  PFRDTN_REQUIRE(wants_frame());
-  ConnectionFrameSink sink(connection, budget());
-  try {
-    while (!finished()) {
-      const Frame frame = read_frame(connection, budget());
-      on_frame(frame, sink);
-    }
-  } catch (const TransportError& failure) {
-    on_transport_error(failure.what());
-  }
-  return take_result();
-}
-
-// ---- loopback drives -------------------------------------------------
+// ---- the in-process pump ---------------------------------------------
 
 namespace {
 
-[[nodiscard]] bool opener_sent(const TargetSession& session) {
-  // A read-only refusal counts: the Error frame is on the link and the
-  // source side must read it to end its role gracefully.
-  return session.state() == TargetSession::State::RequestSent ||
-         session.state() == TargetSession::State::SummarySent ||
-         session.refused();
+/// One end of an in-process contact: its replica and policy, its
+/// session budget (spanning the contact, as a TCP session's does), and
+/// the frames in flight to it.
+struct ContactEnd {
+  ContactEnd(repl::Replica& r, repl::ForwardingPolicy* p)
+      : replica(&r), policy(p) {}
+
+  repl::Replica* replica;
+  repl::ForwardingPolicy* policy;
+  SessionBudget budget;
+  std::deque<Frame> inbox;
+};
+
+/// The contact window: one byte budget shared by every frame of every
+/// sync on the contact, in both directions.
+class ContactWindow {
+ public:
+  explicit ContactWindow(std::optional<std::size_t> cut_after_bytes)
+      : cut_after_(cut_after_bytes) {}
+
+  /// Carry one frame's wire bytes. The frame that crosses the window
+  /// delivers its in-window prefix and is lost; its writer, and every
+  /// later one, gets a TransportError.
+  void carry(std::size_t wire_bytes) {
+    if (closed_) throw TransportError(closed_message());
+    const std::size_t left = cut_after_.value_or(SIZE_MAX) - delivered_;
+    delivered_ += std::min(wire_bytes, left);
+    if (wire_bytes > left) {
+      closed_ = true;
+      throw TransportError(closed_message());
+    }
+  }
+
+  [[nodiscard]] std::size_t delivered() const { return delivered_; }
+
+  [[nodiscard]] std::string closed_message() const {
+    return "contact window closed after " + std::to_string(delivered_) +
+           " bytes";
+  }
+
+ private:
+  std::optional<std::size_t> cut_after_;
+  std::size_t delivered_ = 0;
+  bool closed_ = false;
+};
+
+/// FrameSink from one contact end to the other: charges the sender's
+/// budget (as ConnectionFrameSink does), the window, and the
+/// receiver's budget (admission + charge, as read_frame does), then
+/// queues the frame for the receiver's machine.
+class ContactSink final : public FrameSink {
+ public:
+  ContactSink(ContactWindow& window, ContactEnd& from, ContactEnd& to)
+      : window_(&window), from_(&from), to_(&to) {}
+
+  std::size_t send(repl::SyncFrame type,
+                   const std::vector<std::uint8_t>& payload) override {
+    const std::size_t wire_bytes = framed_size(payload.size());
+    from_->budget.charge(wire_bytes);
+    window_->carry(wire_bytes);
+    to_->budget.admit_frame(static_cast<std::uint8_t>(type),
+                            static_cast<std::uint32_t>(payload.size()));
+    to_->budget.charge(wire_bytes);
+    to_->inbox.push_back(Frame{type, payload, wire_bytes});
+    return wire_bytes;
+  }
+
+ private:
+  ContactWindow* window_;
+  ContactEnd* from_;
+  ContactEnd* to_;
+};
+
+/// Hand the oldest frame in `inbox` to its machine; a sink failure
+/// while answering ends the machine's link.
+template <typename Machine>
+void deliver(Machine& machine, std::deque<Frame>& inbox,
+             FrameSink& reply) {
+  const Frame frame = std::move(inbox.front());
+  inbox.pop_front();
+  try {
+    machine.on_frame(frame, reply);
+  } catch (const TransportError& failure) {
+    machine.on_transport_error(failure.what());
+  }
 }
 
-/// Interleave the source role with an opener-sent target on a
-/// half-duplex sequential link: serve the opener, and on a summary
-/// miss let the target read the miss and send the exact fallback
-/// before the source serves it.
-SourceStats drive_loopback_source(repl::Replica& source,
-                                  repl::ForwardingPolicy* source_policy,
-                                  TargetSession& target_session,
-                                  Connection& source_end,
-                                  Connection& target_end, SimTime now,
-                                  const repl::SyncOptions& options) {
-  SourceSession session(source, source_policy, now, options);
-  session.serve_opener(source_end);
-  if (session.state() == SourceSession::State::AwaitExact) {
-    target_session.send_fallback(target_end);
-    // Even if the fallback write died, let the source observe the dead
-    // link itself so its stats report the failure the same way a live
-    // transport would.
-    session.serve_exact(source_end);
+/// One sync over the contact: `target` pulls from `source`. The source
+/// answers everything queued for it before the target takes a frame,
+/// so a whole opener is answered first. A machine still waiting once
+/// nothing is in flight has lost its link.
+void pump_sync(ContactWindow& window, ContactEnd& target,
+               ContactEnd& source, SimTime now,
+               const repl::SyncOptions& options, NetSyncResult& pulled,
+               SourceStats& served) {
+  TargetSession pull(*target.replica, target.policy, options,
+                     target.budget);
+  SourceSession serve(*source.replica, source.policy, now, options,
+                      source.budget);
+  ContactSink to_source(window, target, source);
+  ContactSink to_target(window, source, target);
+  pull.start(to_source, source.replica->id(), now);
+  for (;;) {
+    if (serve.wants_frame() && !source.inbox.empty()) {
+      deliver(serve, source.inbox, to_target);
+    } else if (pull.wants_frame() && !target.inbox.empty()) {
+      deliver(pull, target.inbox, to_source);
+    } else {
+      break;
+    }
   }
-  return session.take_stats();
+  if (serve.wants_frame()) serve.on_transport_error(window.closed_message());
+  if (pull.wants_frame()) pull.on_transport_error(window.closed_message());
+  pulled = pull.take_result();
+  served = serve.take_stats();
 }
 
 }  // namespace
@@ -462,27 +469,15 @@ LoopbackSyncOutcome sync_over_loopback(
     repl::Replica& source, repl::Replica& target,
     repl::ForwardingPolicy* source_policy,
     repl::ForwardingPolicy* target_policy, SimTime now,
-    const repl::SyncOptions& options, const LoopbackFaults& faults) {
+    const repl::SyncOptions& options,
+    std::optional<std::size_t> cut_after_bytes) {
   LoopbackSyncOutcome outcome;
-  LoopbackLink link(faults);
-  // Half-duplex sequential drive: the target writes its opener, the
-  // source consumes it and streams the whole answer (with one extra
-  // interleaving on a summary miss), then the target reads whatever
-  // made it through the contact window.
-  TargetSession session(target, target_policy, options);
-  session.send_request(link.a(), source.id(), now);
-  if (opener_sent(session)) {
-    outcome.server =
-        drive_loopback_source(source, source_policy, session, link.b(),
-                              link.a(), now, options);
-  } else {
-    outcome.server.transport_failed = true;
-    outcome.server.stats.complete = false;
-    outcome.server.error = "request never arrived";
-  }
-  outcome.client = session.receive(link.a());
-  outcome.bytes_delivered = link.bytes_delivered();
-  outcome.simulated_seconds = link.simulated_seconds();
+  ContactWindow window(cut_after_bytes);
+  ContactEnd target_end(target, target_policy);
+  ContactEnd source_end(source, source_policy);
+  pump_sync(window, target_end, source_end, now, options, outcome.client,
+            outcome.server);
+  outcome.bytes_delivered = window.delivered();
   return outcome;
 }
 
@@ -490,40 +485,38 @@ LoopbackEncounterOutcome encounter_over_loopback(
     repl::Replica& a, repl::Replica& b,
     repl::ForwardingPolicy* a_policy, repl::ForwardingPolicy* b_policy,
     SimTime now, const repl::SyncOptions& options,
-    const LoopbackFaults& faults) {
+    std::optional<std::size_t> cut_after_bytes) {
   LoopbackEncounterOutcome outcome;
-  LoopbackLink link(faults);
-
-  // Sync 1: a pulls from b.
-  TargetSession pull(a, a_policy, options);
-  pull.send_request(link.a(), b.id(), now);
-  if (opener_sent(pull)) {
-    outcome.b_served = drive_loopback_source(b, b_policy, pull, link.b(),
-                                             link.a(), now, options);
-  } else {
-    outcome.b_served.transport_failed = true;
-    outcome.b_served.stats.complete = false;
-    outcome.b_served.error = "request never arrived";
-  }
-  outcome.a_pulled = pull.receive(link.a());
-
-  // Sync 2: roles swap, b pulls from a, on the same contact.
-  TargetSession push(b, b_policy, options);
-  push.send_request(link.b(), a.id(), now);
-  if (opener_sent(push)) {
-    outcome.a_pushed = drive_loopback_source(a, a_policy, push, link.a(),
-                                             link.b(), now, options);
-  } else {
-    outcome.a_pushed.transport_failed = true;
-    outcome.a_pushed.stats.complete = false;
-    outcome.a_pushed.error = "request never arrived";
-  }
-  outcome.b_applied = push.receive(link.b());
-
-  outcome.bytes_delivered = link.bytes_delivered();
-  outcome.simulated_seconds = link.simulated_seconds();
+  ContactWindow window(cut_after_bytes);
+  ContactEnd a_end(a, a_policy);
+  ContactEnd b_end(b, b_policy);
+  // Sync 1: a pulls from b. Sync 2: roles swap on the same contact.
+  pump_sync(window, a_end, b_end, now, options, outcome.a_pulled,
+            outcome.b_served);
+  pump_sync(window, b_end, a_end, now, options, outcome.b_applied,
+            outcome.a_pushed);
+  outcome.bytes_delivered = window.delivered();
   return outcome;
 }
+
+// ---- the blocking loop -----------------------------------------------
+
+template <typename Machine>
+void run_blocking(Connection& connection, SessionBudget& budget,
+                  Machine& machine) {
+  ConnectionFrameSink sink(connection, budget);
+  try {
+    while (machine.wants_frame())
+      machine.on_frame(read_frame(connection, budget), sink);
+  } catch (const TransportError& failure) {
+    machine.on_transport_error(failure.what());
+  }
+}
+
+template void run_blocking(Connection&, SessionBudget&, SourceSession&);
+template void run_blocking(Connection&, SessionBudget&, TargetSession&);
+template void run_blocking(Connection&, SessionBudget&,
+                           ServerSessionMachine&);
 
 // ---- whole sessions (TCP client/server) ------------------------------
 
@@ -578,9 +571,11 @@ ClientSessionOutcome run_client_session(Connection& connection,
   }
 
   if (mode == SyncMode::Pull || mode == SyncMode::Encounter) {
-    TargetSession session(self, policy, effective, &budget);
-    session.send_request(connection, outcome.server, now);
-    outcome.pull = session.receive(connection);
+    TargetSession session(self, policy, effective, budget);
+    ConnectionFrameSink sink(connection, budget);
+    session.start(sink, outcome.server, now);
+    run_blocking(connection, budget, session);
+    outcome.pull = session.take_result();
     if (outcome.pull.transport_failed) {
       outcome.transport_failed = true;
       outcome.error = outcome.pull.error;
@@ -588,8 +583,9 @@ ClientSessionOutcome run_client_session(Connection& connection,
     }
   }
   if (mode == SyncMode::Push || mode == SyncMode::Encounter) {
-    outcome.push =
-        run_source(connection, self, policy, now, effective, &budget);
+    SourceSession session(self, policy, now, effective, budget);
+    run_blocking(connection, budget, session);
+    outcome.push = session.take_stats();
     if (outcome.push.transport_failed) {
       outcome.transport_failed = true;
       outcome.error = outcome.push.error;
@@ -645,7 +641,7 @@ void ServerSessionMachine::on_frame(const Frame& frame, FrameSink& sink) {
           options_.summary_mode, outcome_.hello.features);
       const SyncMode mode = outcome_.hello.mode;
       if (mode == SyncMode::Pull || mode == SyncMode::Encounter) {
-        source_.emplace(*self_, policy_, now_, effective_, &budget_);
+        source_.emplace(*self_, policy_, now_, effective_, budget_);
         state_ = State::Source;
       } else {
         start_target(sink);
@@ -656,7 +652,7 @@ void ServerSessionMachine::on_frame(const Frame& frame, FrameSink& sink) {
       try {
         source_->on_frame(frame, sink);
       } catch (const TransportError& failure) {
-        source_->on_transport_error(failure);
+        source_->on_transport_error(failure.what());
       }
       // A summary miss leaves the source owed the exact fallback
       // Request; everything else ends its role.
@@ -700,7 +696,7 @@ void ServerSessionMachine::harvest_source(FrameSink* sink) {
 }
 
 void ServerSessionMachine::start_target(FrameSink& sink) {
-  target_.emplace(*self_, policy_, effective_, &budget_);
+  target_.emplace(*self_, policy_, effective_, budget_);
   target_->start(sink, outcome_.hello.replica, now_);
   // start() absorbs a sink failure into the Failed state; harvest it
   // now so the host sees the session finished. A refusal (degraded
@@ -744,7 +740,7 @@ void ServerSessionMachine::on_transport_error(const std::string& what) {
       state_ = State::Done;
       return;
     case State::Source:
-      source_->on_transport_error(TransportError(what));
+      source_->on_transport_error(what);
       // A failed source always ends the session: the encounter's push
       // leg is never attempted on a dead link.
       harvest_source(nullptr);
@@ -772,20 +768,14 @@ ServerSessionOutcome serve_session(Connection& connection,
                                    const repl::SyncOptions& options,
                                    const ResourceLimits& limits) {
   ServerSessionMachine machine(self, policy, now, options, limits);
-  ConnectionFrameSink sink(connection, machine.budget());
   try {
-    while (machine.wants_frame()) {
-      const Frame frame = read_frame(connection, machine.budget());
-      machine.on_frame(frame, sink);
-    }
+    run_blocking(connection, machine.budget(), machine);
   } catch (const StorageError& fault) {
-    // A local disk fault, not peer misbehaviour: caught before the
-    // ContractViolation base so the caller never quarantines the peer
-    // over it. The session ends as this side's failure.
+    // A local disk fault, not peer misbehaviour: caught here so the
+    // caller never quarantines the peer over it. The session ends as
+    // this side's failure.
     machine.on_transport_error(std::string("local storage fault: ") +
                                fault.what());
-  } catch (const TransportError& failure) {
-    machine.on_transport_error(failure.what());
   }
   return machine.take_outcome();
 }
@@ -795,9 +785,9 @@ ServerSessionOutcome serve_session(Connection& connection,
 namespace pfrdtn::repl {
 
 // Declared in repl/sync.hpp. The in-process entry point is the session
-// machines over a fault-free loopback link, so the emulator, the
-// examples and the benches run the same Figure-4 engine as TCP, serve
-// and the check harness.
+// machines on the in-process pump, with no contact window, so the
+// emulator, the examples and the benches run the same Figure-4 engine
+// as TCP, serve and the check harness.
 SyncResult run_sync(Replica& source, Replica& target,
                     ForwardingPolicy* source_policy,
                     ForwardingPolicy* target_policy, SimTime now,

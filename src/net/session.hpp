@@ -1,14 +1,26 @@
 #pragma once
 
 /// \file session.hpp
-/// The sync-session state machine: runs the Figure-4 exchange over a
-/// Transport connection. Each sync has a *source* role (answers a
-/// request by streaming a batch) and a *target* role (sends the
-/// request, applies batch items as their frames arrive). Streaming
-/// item-by-item means a dropped connection leaves the target with the
-/// fully received prefix applied, `complete == false`, and the source
-/// knowledge never merged — the truncated-contact semantics the
-/// substrate's SyncBatch::complete flag was designed for.
+/// The sync-session state machines that run the Figure-4 exchange.
+/// Each sync has a *source* role (answers a request by streaming a
+/// batch) and a *target* role (sends the request, applies batch items
+/// as their frames arrive). Streaming item-by-item means a dropped
+/// link leaves the target with the fully received prefix applied,
+/// `complete == false`, and the source knowledge never merged — the
+/// truncated-contact semantics the substrate's SyncBatch::complete
+/// flag was designed for.
+///
+/// The machines (SourceSession, TargetSession, ServerSessionMachine)
+/// are entered only through on_frame() and on_transport_error(), and
+/// emit through a FrameSink. Three hosts feed them:
+///   - the in-process pump behind sync_over_loopback and
+///     encounter_over_loopback (and so repl::run_sync, the emulator
+///     and the check harness) hands each emitted Frame straight to the
+///     peer machine, with no byte link;
+///   - run_blocking, the read_frame -> on_frame loop over a Connection
+///     that run_client_session and serve_session share;
+///   - the epoll event loop (src/net/server.hpp), which feeds a
+///     FrameDecoder.
 ///
 /// Frame sequence of one sync (see docs/net.md for the state machine):
 ///
@@ -39,7 +51,6 @@
 #include <utility>
 
 #include "net/framing.hpp"
-#include "net/loopback.hpp"
 
 namespace pfrdtn::net {
 
@@ -107,40 +118,28 @@ struct SourceStats {
   std::string error;
 };
 
-/// Run the source role once: wait for the peer's opening frame, build
-/// the batch (policy consulted, bandwidth cap applied), stream it.
-/// With options.summary_mode == Off the opener must be an exact
-/// Request (the legacy protocol, byte for byte); otherwise a
-/// SummaryRequest opener is also accepted and answered per the summary
-/// flow, including blocking for the exact fallback Request after a
-/// SummaryMiss. Link failures are absorbed into the returned stats.
-/// All peer input is accounted against `budget` (default-constructed
-/// locally when null, i.e. enforced under the default ResourceLimits);
-/// breaches throw ResourceLimitError like any other protocol violation.
-SourceStats run_source(Connection& connection, repl::Replica& source,
-                       repl::ForwardingPolicy* source_policy, SimTime now,
-                       const repl::SyncOptions& options = {},
-                       SessionBudget* budget = nullptr);
-
 /// The source role as a resumable, frame-driven state machine: hand it
 /// one decoded peer frame at a time via on_frame() and it emits every
-/// reply through a FrameSink, never blocking in between. Hosts decide
-/// how frames arrive — a blocking read loop (run_source, the loopback
-/// drive) or an epoll event loop feeding a FrameDecoder
-/// (src/net/server.hpp). The serve_opener/serve_exact wrappers keep
-/// the one-call-per-step blocking API for sequential drivers.
+/// reply through a FrameSink, never blocking in between. The host
+/// decides how frames arrive (see the file comment). With
+/// options.summary_mode == Off the opener must be an exact Request
+/// (the legacy protocol, byte for byte); otherwise a SummaryRequest
+/// opener is also accepted and answered per the summary flow. All
+/// peer input is accounted against the host's `budget`; breaches throw
+/// ResourceLimitError like any other protocol violation.
 class SourceSession {
  public:
   enum class State { Idle, AwaitExact, Done, Failed };
 
+  /// `budget` spans the session this role belongs to.
   SourceSession(repl::Replica& source, repl::ForwardingPolicy* policy,
-                SimTime now, repl::SyncOptions options = {},
-                SessionBudget* budget = nullptr)
+                SimTime now, repl::SyncOptions options,
+                SessionBudget& budget)
       : source_(&source),
         policy_(policy),
         now_(now),
         options_(options),
-        budget_(budget) {}
+        budget_(&budget) {}
 
   /// True while the machine needs another peer frame (Idle: the
   /// opener; AwaitExact: the post-miss fallback Request).
@@ -160,41 +159,28 @@ class SourceSession {
   /// routing state was already processed with the summary, so the
   /// fallback skips the policy's process_request. Protocol breaches
   /// throw ContractViolation; sink failures propagate TransportError
-  /// (blocking hosts turn those into on_transport_error).
+  /// (hosts turn those into on_transport_error).
   void on_frame(const Frame& frame, FrameSink& sink);
 
   /// The link died while this role was live: absorb the failure into
   /// the stats, as a truncated contact, and end Failed.
-  void on_transport_error(const TransportError& failure) { fail(failure); }
-
-  /// Blocking step 1: read the opener and answer it. Ends Done (batch
-  /// streamed or SummaryMatch sent), AwaitExact (SummaryMiss sent, the
-  /// exact Request is owed), or Failed (link died).
-  void serve_opener(Connection& connection);
-
-  /// Blocking step 2, only from AwaitExact: read the exact fallback
-  /// Request and stream the batch.
-  void serve_exact(Connection& connection);
+  void on_transport_error(const std::string& what);
 
   [[nodiscard]] State state() const { return state_; }
-  /// The accumulated outcome; call once both steps are over.
+  /// The accumulated outcome; call once the role no longer
+  /// wants_frame().
   [[nodiscard]] SourceStats take_stats() { return std::move(outcome_); }
 
  private:
-  [[nodiscard]] SessionBudget& budget() {
-    return budget_ != nullptr ? *budget_ : local_budget_;
-  }
   void serve_request_frame(const Frame& frame, FrameSink& sink,
                            bool process_routing_state);
   void stream_batch(FrameSink& sink, const repl::SyncBatch& batch);
-  void fail(const TransportError& failure);
 
   repl::Replica* source_;
   repl::ForwardingPolicy* policy_;
   SimTime now_;
   repl::SyncOptions options_;
   SessionBudget* budget_;
-  SessionBudget local_budget_;
   State state_ = State::Idle;
   SourceStats outcome_;
 };
@@ -204,25 +190,17 @@ class SourceSession {
 /// consumes the source's reply stream one frame at a time — summary
 /// replies, BatchBegin, each BatchItem (applied as it arrives), and
 /// BatchEnd — without ever blocking in between. take_result() builds
-/// the NetSyncResult once finished(). The blocking wrappers
-/// (send_request / send_fallback / receive) keep the sequential API
-/// the loopback driver and the TCP client use.
+/// the NetSyncResult once finished().
 class TargetSession {
  public:
-  enum class State { Idle, RequestSent, SummarySent, Done, Failed,
-                     Receiving };
-
-  /// `budget` spans the session this target role belongs to; when null
-  /// a local budget with the default ResourceLimits is used, so every
-  /// path through here is resource-bounded.
+  /// `budget` spans the session this target role belongs to.
   TargetSession(repl::Replica& target,
                 repl::ForwardingPolicy* target_policy,
-                repl::SyncOptions options = {},
-                SessionBudget* budget = nullptr)
+                repl::SyncOptions options, SessionBudget& budget)
       : target_(&target),
         policy_(target_policy),
         options_(options),
-        budget_(budget) {}
+        budget_(&budget) {}
 
   /// Step 1, machine form: build this replica's request and emit it
   /// through `sink` (a SummaryRequest with summaries on, the exact
@@ -255,34 +233,13 @@ class TargetSession {
   void on_transport_error(const std::string& what);
 
   /// The sync's outcome; call once finished(). Framed byte counts
-  /// cover every frame this machine consumed or emitted.
+  /// cover every frame this machine consumed or fully emitted.
   NetSyncResult take_result();
 
-  /// Blocking step 1: start() over a ConnectionFrameSink.
-  void send_request(Connection& connection, ReplicaId source_id,
-                    SimTime now);
-
-  /// Loopback-driver step between send_request and receive, only when
-  /// the interleaved source ended AwaitExact: read the SummaryMiss and
-  /// send the exact fallback Request (reusing the routing state the
-  /// summary carried). A live transport never calls this — receive()
-  /// handles the miss inline.
-  void send_fallback(Connection& connection);
-
-  /// Blocking step 2: feed frames to on_frame until finished, then
-  /// take_result(). A dropped link yields the applied prefix with
-  /// `complete == false` and no knowledge learned.
-  NetSyncResult receive(Connection& connection);
-
-  [[nodiscard]] State state() const { return state_; }
-  /// True when start() refused the sync because this replica is
-  /// degraded read-only (an Error frame was sent instead).
-  [[nodiscard]] bool refused() const { return refused_; }
-
  private:
-  [[nodiscard]] SessionBudget& budget() {
-    return budget_ != nullptr ? *budget_ : local_budget_;
-  }
+  enum class State { Idle, RequestSent, SummarySent, Done, Failed,
+                     Receiving };
+
   /// The incremental applier, created lazily at the first batch frame
   /// (BatchApplier construction is side-effect-free).
   repl::BatchApplier& ensure_applier();
@@ -295,7 +252,6 @@ class TargetSession {
   repl::ForwardingPolicy* policy_;
   repl::SyncOptions options_;
   SessionBudget* budget_;
-  SessionBudget local_budget_;
   State state_ = State::Idle;
   std::size_t request_bytes_ = 0;
   /// Framed bytes of every batch-side frame consumed so far.
@@ -307,23 +263,28 @@ class TargetSession {
   std::optional<repl::BatchBeginInfo> begin_;
   std::uint64_t received_ = 0;
   std::optional<repl::SyncResult> result_;
-  /// The session died before the receive phase (opening write or the
-  /// driver-run fallback failed): consumed-byte stats stay zero, as
-  /// the blocking path always reported for those failures.
-  bool pre_receive_failure_ = false;
   /// start() refused the sync: this replica is degraded read-only.
   bool refused_ = false;
   std::string error_;
 };
 
-/// One full sync over an in-memory loopback link, driven sequentially
-/// on the calling thread. Fault-free, this is repl::run_sync: that
-/// entry point calls it and returns the target-side result.
+/// One full sync run in process by the pump: the machines' frames
+/// move straight from one to the other, with no byte link. Fault-free,
+/// this is repl::run_sync: that entry point calls it and returns the
+/// target-side result.
+///
+/// `cut_after_bytes` bounds the contact window (a DTN contact ending
+/// mid-stream): the frame that crosses it delivers its in-window
+/// prefix, which counts in bytes_delivered, and is lost; its writer
+/// gets a TransportError, and every later frame is lost whole. Each
+/// frame is charged, in order, to the sender's SessionBudget, to the
+/// window, and to the receiver's budget (admission + charge, as
+/// read_frame does). The source answers a whole opener before the
+/// target consumes anything.
 struct LoopbackSyncOutcome {
   NetSyncResult client;  ///< target side
   SourceStats server;    ///< source side
   std::size_t bytes_delivered = 0;
-  double simulated_seconds = 0.0;
 };
 
 LoopbackSyncOutcome sync_over_loopback(
@@ -331,28 +292,36 @@ LoopbackSyncOutcome sync_over_loopback(
     repl::ForwardingPolicy* source_policy,
     repl::ForwardingPolicy* target_policy, SimTime now,
     const repl::SyncOptions& options = {},
-    const LoopbackFaults& faults = {});
+    std::optional<std::size_t> cut_after_bytes = std::nullopt);
 
-/// One full encounter over a single loopback contact: `a` pulls from
+/// One full encounter over a single in-process contact: `a` pulls from
 /// `b`, then `a` pushes to `b` — the paper's two one-way syncs per
-/// encounter (Section VI), with both roles alternating on the same
-/// link. Faults span the whole contact, so a byte budget can die
-/// during either sync; the push is still attempted after a cut pull
-/// (its steps fail fast on the dead link), mirroring a real session.
+/// encounter (Section VI). The contact window and each end's
+/// SessionBudget span both syncs, so the window can close during
+/// either; the push is still attempted after a cut pull (its opener
+/// fails at once).
 struct LoopbackEncounterOutcome {
   NetSyncResult a_pulled;   ///< a as target of the first sync
   SourceStats b_served;     ///< b as source of the first sync
   NetSyncResult b_applied;  ///< b as target of the second sync
   SourceStats a_pushed;     ///< a as source of the second sync
   std::size_t bytes_delivered = 0;
-  double simulated_seconds = 0.0;
 };
 
 LoopbackEncounterOutcome encounter_over_loopback(
     repl::Replica& a, repl::Replica& b,
     repl::ForwardingPolicy* a_policy, repl::ForwardingPolicy* b_policy,
     SimTime now, const repl::SyncOptions& options = {},
-    const LoopbackFaults& faults = {});
+    std::optional<std::size_t> cut_after_bytes = std::nullopt);
+
+/// The blocking host: read a frame (budgeted), hand it to the
+/// machine's on_frame, and repeat while it wants_frame(); replies go
+/// back over the same connection. A TransportError from either
+/// direction goes to on_transport_error. Defined for SourceSession,
+/// TargetSession (start() it first) and ServerSessionMachine.
+template <typename Machine>
+void run_blocking(Connection& connection, SessionBudget& budget,
+                  Machine& machine);
 
 // ---- whole sessions (TCP client/server) ------------------------------
 
@@ -391,10 +360,10 @@ struct ServerSessionOutcome {
 /// The whole server side of one session as a resumable, frame-driven
 /// state machine: hello negotiation, then the source and/or target
 /// role per the client's mode, all via on_frame() steps that emit
-/// replies through a FrameSink and never block. Both the blocking
-/// serve_session() and the epoll SyncServer (src/net/server.hpp) host
-/// this exact machine, so the concurrent and sequential serve paths
-/// cannot diverge behaviorally.
+/// replies through a FrameSink and never block. Both serve_session()
+/// (through run_blocking) and the epoll SyncServer
+/// (src/net/server.hpp) host this exact machine, so the concurrent and
+/// sequential serve paths cannot diverge behaviorally.
 class ServerSessionMachine {
  public:
   ServerSessionMachine(repl::Replica& self, repl::ForwardingPolicy* policy,
@@ -456,8 +425,8 @@ class ServerSessionMachine {
   ServerSessionOutcome outcome_;
 };
 
-/// Serve one session on an accepted connection: a blocking read loop
-/// over ServerSessionMachine. The peer is untrusted: every frame is
+/// Serve one session on an accepted connection: run_blocking over a
+/// ServerSessionMachine. The peer is untrusted: every frame is
 /// admitted against one SessionBudget built from `limits` before its
 /// payload is allocated, and a breach propagates as ResourceLimitError
 /// (a ContractViolation) for the caller to contain — and, in `pfrdtn

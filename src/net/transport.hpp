@@ -4,8 +4,9 @@
 /// The byte-stream abstraction the sync-session layer runs over. A
 /// Connection is one end of an established, ordered, reliable-until-
 /// it-isn't link: the in-memory loopback (src/net/loopback.hpp) for
-/// emulation and fault-injection tests, POSIX TCP
-/// (src/net/tcp.hpp) for real inter-process replication.
+/// the check harness's adversary and tests, POSIX TCP
+/// (src/net/tcp.hpp) for real inter-process replication. In-process
+/// syncs use no Connection: session.hpp's pump hands frames across.
 ///
 /// Link failures — peer gone, contact window closed, timeout — throw
 /// TransportError. They are *environmental*, expected events the

@@ -17,9 +17,10 @@
 ///
 /// This header holds the protocol's messages, its three steps and its
 /// frame codecs. One engine drives them: the net layer's session
-/// machines (src/net/session.hpp), which loopback, TCP, `serve` and the
-/// check harness run. run_sync below is that engine over a fault-free
-/// in-memory link, so every in-process sync crosses the real frames.
+/// machines (src/net/session.hpp), which the in-process pump, TCP,
+/// `serve` and the check harness run. run_sync below is that engine on
+/// the pump with no contact window, so every in-process sync moves the
+/// real frames.
 
 #include <optional>
 
@@ -67,7 +68,7 @@ enum class SummaryMode : std::uint8_t {
   On = 1,   ///< always open with a summary (fail if the peer cannot)
   /// Open with a summary iff the peer advertised support in its Hello;
   /// resolved to On or Off during session negotiation. A sync driven
-  /// without a Hello (run_sync, the loopback drives) has no peer to
+  /// without a Hello (run_sync, the in-process pump) has no peer to
   /// ask and treats Auto as On.
   Auto = 2,
 };
@@ -352,12 +353,13 @@ std::uint64_t decode_batch_ack(const std::vector<std::uint8_t>& payload);
 
 /// Run one one-way synchronization in which `target` pulls from
 /// `source`. Policies may be null (unmodified substrate). Defined in
-/// src/net/session.cpp: the session machines run the exchange over a
-/// fault-free loopback link (net::sync_over_loopback), under the
-/// default ResourceLimits, and the target-side result is returned.
-/// Byte counts are the framed bytes that crossed the link. A refusal
-/// (a degraded read-only target) throws ReadOnlyError and a transport
-/// failure throws net::TransportError; neither returns an empty result.
+/// src/net/session.cpp: the session machines run the exchange on the
+/// in-process pump with no contact window (net::sync_over_loopback),
+/// under the default ResourceLimits, and the target-side result is
+/// returned. Byte counts are the framed bytes the machines moved. A
+/// refusal (a degraded read-only target) throws ReadOnlyError and a
+/// transport failure throws net::TransportError; neither returns an
+/// empty result.
 SyncResult run_sync(Replica& source, Replica& target,
                     ForwardingPolicy* source_policy,
                     ForwardingPolicy* target_policy, SimTime now,

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "net/session.hpp"
 #include "persist/checkpoint.hpp"
 

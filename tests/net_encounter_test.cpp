@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "net/session.hpp"
+#include "util/hash.hpp"
 
 namespace pfrdtn::net {
 namespace {
@@ -141,6 +142,80 @@ TEST(Encounter, SecondDirectionSeesFirstDirectionsState) {
                 outcome.a_pulled.result.stats.batch_bytes +
                 outcome.b_applied.result.stats.request_bytes +
                 outcome.b_applied.result.stats.batch_bytes);
+}
+
+/// One leg's outcome as a stable text record, for the cut digest.
+std::string leg_record(const NetSyncResult& leg) {
+  const repl::SyncStats& stats = leg.result.stats;
+  return std::to_string(leg.transport_failed) + "," +
+         std::to_string(stats.items_sent) + "," +
+         std::to_string(stats.items_new) + "," +
+         std::to_string(stats.request_bytes + stats.batch_bytes) + "," +
+         std::to_string(stats.complete);
+}
+
+/// The contact window spans both syncs of an encounter: close it after
+/// every byte count from 0 to the whole exchange. Both ends stay sound,
+/// a cut leg teaches its target nothing, one clean encounter repairs
+/// everything, and every cut's per-leg outcome is pinned by a digest.
+TEST(Encounter, SurvivesContactCutAtEveryByte) {
+  World reference;
+  const auto clean = encounter_over_loopback(
+      reference.a, reference.b, &reference.a_policy, &reference.b_policy,
+      SimTime(0));
+  const std::size_t total = clean.bytes_delivered;
+  ASSERT_GT(total, 0u);
+
+  std::string records;
+  for (std::size_t cut = 0; cut <= total; ++cut) {
+    World world;
+    const auto outcome = encounter_over_loopback(
+        world.a, world.b, &world.a_policy, &world.b_policy, SimTime(0), {},
+        cut);
+    const std::string where = "cut=" + std::to_string(cut);
+    records += where + " pull=" + leg_record(outcome.a_pulled) +
+               " push=" + leg_record(outcome.b_applied) +
+               " delivered=" + std::to_string(outcome.bytes_delivered) +
+               "\n";
+    EXPECT_EQ(outcome.a_pulled.transport_failed ||
+                  outcome.b_applied.transport_failed,
+              cut < total)
+        << where;
+    EXPECT_EQ(world.a.check_invariants(), "") << where;
+    EXPECT_EQ(world.b.check_invariants(), "") << where;
+    if (outcome.a_pulled.transport_failed) {
+      EXPECT_TRUE(world.a.knowledge().fragments().empty()) << where;
+    }
+    if (outcome.b_applied.transport_failed) {
+      EXPECT_TRUE(world.b.knowledge().fragments().empty()) << where;
+    }
+
+    const auto repair = encounter_over_loopback(
+        world.a, world.b, &world.a_policy, &world.b_policy, SimTime(1));
+    ASSERT_FALSE(repair.a_pulled.transport_failed) << where;
+    ASSERT_FALSE(repair.b_applied.transport_failed) << where;
+    EXPECT_TRUE(repair.a_pulled.result.stats.complete) << where;
+    EXPECT_TRUE(repair.b_applied.result.stats.complete) << where;
+    EXPECT_EQ(outcome.a_pulled.result.stats.items_new +
+                  repair.a_pulled.result.stats.items_new,
+              clean.a_pulled.result.stats.items_new)
+        << where;
+    EXPECT_EQ(outcome.b_applied.result.stats.items_new +
+                  repair.b_applied.result.stats.items_new,
+              clean.b_applied.result.stats.items_new)
+        << where;
+    EXPECT_EQ(repair.a_pulled.result.stats.items_stale, 0u) << where;
+    EXPECT_EQ(repair.b_applied.result.stats.items_stale, 0u) << where;
+    EXPECT_EQ(world.a.store().size(), reference.a.store().size()) << where;
+    EXPECT_EQ(world.b.store().size(), reference.b.store().size()) << where;
+    EXPECT_EQ(world.a.check_invariants(), "") << where;
+    EXPECT_EQ(world.b.check_invariants(), "") << where;
+  }
+  // Recorded against the byte-pipe drive the pump replaced, so every
+  // cut must end each leg exactly as it did there.
+  EXPECT_EQ(fnv1a64({records.begin(), records.end()}),
+            0xd204400b36705a64ull)
+      << records;
 }
 
 }  // namespace

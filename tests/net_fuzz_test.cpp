@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 
 #include "net/framing.hpp"
 #include "net/session.hpp"
@@ -65,29 +66,68 @@ void must_parse_or_throw(Fn&& fn) {
   }
 }
 
+/// The bytes of the opener a target role writes.
+std::vector<std::uint8_t> opener_bytes(Replica& target,
+                                       const repl::SyncOptions& options,
+                                       ReplicaId source_id) {
+  ScriptedConnection capture;
+  SessionBudget budget;
+  TargetSession session(target, nullptr, options, budget);
+  ConnectionFrameSink sink(capture, budget);
+  session.start(sink, source_id, SimTime(0));
+  return capture.written();
+}
+
+/// The target role fed `stream` by the blocking loop, after writing
+/// its opener elsewhere.
+NetSyncResult pull_stream(Replica& target, const repl::SyncOptions& options,
+                          Connection& stream) {
+  SessionBudget budget;
+  TargetSession session(target, nullptr, options, budget);
+  ScriptedConnection opener;
+  ConnectionFrameSink sink(opener, budget);
+  session.start(sink, ReplicaId(1), SimTime(0));
+  run_blocking(stream, budget, session);
+  return session.take_result();
+}
+
+/// The source role fed `stream` by the blocking loop; its replies are
+/// recorded in the same connection.
+SourceStats serve_stream(Replica& source, const repl::SyncOptions& options,
+                         Connection& stream) {
+  SessionBudget budget;
+  SourceSession session(source, nullptr, SimTime(0), options, budget);
+  run_blocking(stream, budget, session);
+  return session.take_stats();
+}
+
 TEST(NetFuzz, ReadFrameNeverCrashesOnRandomBytes) {
   Rng rng(11);
   for (int trial = 0; trial < 500; ++trial) {
     ScriptedConnection connection(random_bytes(rng, 96));
-    must_parse_or_throw([&] { (void)read_frame(connection); });
+    SessionBudget budget;
+    must_parse_or_throw([&] { (void)read_frame(connection, budget); });
   }
 }
 
 TEST(NetFuzz, ReadFrameNeverCrashesOnFramedGarbage) {
-  // Valid framing around random payloads and random type bytes: the
-  // codec must accept the frame and leave payload rejection to the
-  // payload decoders.
+  // Valid framing around random payloads and random type bytes: a
+  // protocol type's frame (every payload here is within its cap) must
+  // round-trip and leave payload rejection to the payload decoders; an
+  // unknown type byte is rejected at admission.
   Rng rng(12);
   for (int trial = 0; trial < 300; ++trial) {
     ScriptedConnection sink;
+    SessionBudget budget;
     const auto payload = random_bytes(rng, 64);
-    const auto type = static_cast<repl::SyncFrame>(rng.below(256));
-    must_parse_or_throw([&] {
-      write_frame(sink, type, payload);
-      ScriptedConnection replay(sink.written());
-      const Frame frame = read_frame(replay);
-      EXPECT_EQ(frame.payload, payload);
-    });
+    const auto type = static_cast<std::uint8_t>(rng.below(256));
+    write_frame(sink, static_cast<repl::SyncFrame>(type), payload, budget);
+    ScriptedConnection replay(sink.written());
+    if (std::string_view(frame_type_name(type)) == "unknown") {
+      EXPECT_THROW((void)read_frame(replay, budget), ContractViolation);
+    } else {
+      EXPECT_EQ(read_frame(replay, budget).payload, payload);
+    }
   }
 }
 
@@ -223,13 +263,15 @@ TEST(NetFuzz, PushedBatchNeedsTheServersAck) {
       repl::make_request(server_view, nullptr, ReplicaId(50), SimTime(0));
   ByteWriter request_bytes;
   request.serialize(request_bytes);
+  SessionBudget scripting;
 
   ScriptedConnection unacked_script;
   write_frame(unacked_script, repl::SyncFrame::Hello,
               encode_hello({ReplicaId(9), SyncMode::Push,
-                            kFeatureBatchAck}));
+                            kFeatureBatchAck}),
+              scripting);
   write_frame(unacked_script, repl::SyncFrame::Request,
-              request_bytes.bytes());
+              request_bytes.bytes(), scripting);
 
   Replica self(ReplicaId(50), Filter::addresses({HostId(7)}));
   self.create({{repl::meta::kDest, "5"}}, {'x'});
@@ -247,11 +289,12 @@ TEST(NetFuzz, PushedBatchNeedsTheServersAck) {
     ScriptedConnection acked_script;
     write_frame(acked_script, repl::SyncFrame::Hello,
                 encode_hello({ReplicaId(9), SyncMode::Push,
-                              kFeatureBatchAck}));
+                              kFeatureBatchAck}),
+                scripting);
     write_frame(acked_script, repl::SyncFrame::Request,
-                request_bytes.bytes());
+                request_bytes.bytes(), scripting);
     write_frame(acked_script, repl::SyncFrame::BatchAck,
-                repl::encode_batch_ack(1));
+                repl::encode_batch_ack(1), scripting);
     ScriptedConnection connection(acked_script.written());
     const auto outcome = run_client_session(connection, self, nullptr,
                                             SyncMode::Push, SimTime(0));
@@ -263,9 +306,10 @@ TEST(NetFuzz, PushedBatchNeedsTheServersAck) {
   {
     ScriptedConnection legacy_script;
     write_frame(legacy_script, repl::SyncFrame::Hello,
-                encode_hello({ReplicaId(9), SyncMode::Push, 0}));
+                encode_hello({ReplicaId(9), SyncMode::Push, 0}),
+                scripting);
     write_frame(legacy_script, repl::SyncFrame::Request,
-                request_bytes.bytes());
+                request_bytes.bytes(), scripting);
     ScriptedConnection connection(legacy_script.written());
     const auto outcome = run_client_session(connection, self, nullptr,
                                             SyncMode::Push, SimTime(0));
@@ -282,9 +326,11 @@ TEST(NetFuzz, ClientSessionSurvivesArbitraryHelloReplies) {
   for (int trial = 0; trial < 300; ++trial) {
     Replica self(ReplicaId(50), Filter::addresses({HostId(7)}));
     ScriptedConnection sink;
+    SessionBudget scripting;
     const auto type = static_cast<repl::SyncFrame>(rng.below(16));
     const auto payload = random_bytes(rng, 48);
-    must_parse_or_throw([&] { write_frame(sink, type, payload); });
+    must_parse_or_throw(
+        [&] { write_frame(sink, type, payload, scripting); });
     ScriptedConnection connection(sink.written());
     must_parse_or_throw([&] {
       const auto outcome = run_client_session(
@@ -306,9 +352,8 @@ TEST(NetFuzz, SummaryTargetSessionNeverCrashesOnRandomStreams) {
   for (int trial = 0; trial < 300; ++trial) {
     Replica target(ReplicaId(2), Filter::addresses({HostId(9)}));
     ScriptedConnection connection(random_bytes(rng, 160));
-    TargetSession session(target, nullptr, summary_on);
-    session.send_request(connection, ReplicaId(1), SimTime(0));
-    must_parse_or_throw([&] { (void)session.receive(connection); });
+    must_parse_or_throw(
+        [&] { (void)pull_stream(target, summary_on, connection); });
     EXPECT_EQ(target.check_invariants(), "");
     EXPECT_TRUE(target.knowledge().fragments().empty());
   }
@@ -322,10 +367,8 @@ TEST(NetFuzz, SummarySourceSessionNeverCrashesOnRandomStreams) {
     Replica source(ReplicaId(7), Filter::addresses({HostId(3)}));
     source.create({{repl::meta::kDest, "5"}}, {'z'});
     ScriptedConnection connection(random_bytes(rng, 160));
-    must_parse_or_throw([&] {
-      (void)run_source(connection, source, nullptr, SimTime(0),
-                       summary_on);
-    });
+    must_parse_or_throw(
+        [&] { (void)serve_stream(source, summary_on, connection); });
     EXPECT_EQ(source.check_invariants(), "");
   }
 }
@@ -335,9 +378,8 @@ TEST(NetFuzz, TargetSessionReceiveNeverCrashesOnRandomStreams) {
   for (int trial = 0; trial < 300; ++trial) {
     Replica target(ReplicaId(2), Filter::addresses({HostId(9)}));
     ScriptedConnection connection(random_bytes(rng, 160));
-    TargetSession session(target, nullptr, {});
-    session.send_request(connection, ReplicaId(1), SimTime(0));
-    must_parse_or_throw([&] { (void)session.receive(connection); });
+    must_parse_or_throw(
+        [&] { (void)pull_stream(target, {}, connection); });
     // Whatever happened, the replica must still be internally sound,
     // and garbage must never have smuggled knowledge in.
     EXPECT_EQ(target.check_invariants(), "");
@@ -375,21 +417,15 @@ class ValidBatchStream : public ::testing::Test {
   /// The batch frames a real source would send to fresh_target().
   std::vector<std::uint8_t> batch_stream() {
     Replica target = fresh_target();
-    ScriptedConnection request_capture;
-    TargetSession session(target, nullptr, {});
-    session.send_request(request_capture, source_.id(), SimTime(0));
-    ScriptedConnection exchange(request_capture.written());
-    (void)run_source(exchange, source_, nullptr, SimTime(0), {});
+    ScriptedConnection exchange(opener_bytes(target, {}, source_.id()));
+    (void)serve_stream(source_, {}, exchange);
     return exchange.written();
   }
 
   static void attack(const std::vector<std::uint8_t>& stream) {
     Replica target = fresh_target();
-    ScriptedConnection sink;
-    TargetSession session(target, nullptr, {});
-    session.send_request(sink, ReplicaId(1), SimTime(0));
     ScriptedConnection scripted(stream);
-    must_parse_or_throw([&] { (void)session.receive(scripted); });
+    must_parse_or_throw([&] { (void)pull_stream(target, {}, scripted); });
     EXPECT_EQ(target.check_invariants(), "");
   }
 
@@ -436,27 +472,22 @@ class ValidSummaryStreams : public ::testing::Test {
   /// The SummaryRequest frame a real target opens with.
   std::vector<std::uint8_t> request_stream() {
     Replica target = fresh_target();
-    ScriptedConnection capture;
-    TargetSession session(target, nullptr, options_);
-    session.send_request(capture, source_.id(), SimTime(0));
-    return capture.written();
+    return opener_bytes(target, options_, source_.id());
   }
 
   /// The source's full reply to that opener (a cold target's empty
   /// Bloom filter proves it knows nothing, so this is a direct batch).
   std::vector<std::uint8_t> reply_stream() {
     ScriptedConnection exchange(request_stream());
-    (void)run_source(exchange, source_, nullptr, SimTime(0), options_);
+    (void)serve_stream(source_, options_, exchange);
     return exchange.written();
   }
 
   void attack_target(const std::vector<std::uint8_t>& stream) {
     Replica target = fresh_target();
-    ScriptedConnection sink;
-    TargetSession session(target, nullptr, options_);
-    session.send_request(sink, ReplicaId(1), SimTime(0));
     ScriptedConnection scripted(stream);
-    must_parse_or_throw([&] { (void)session.receive(scripted); });
+    must_parse_or_throw(
+        [&] { (void)pull_stream(target, options_, scripted); });
     // A flipped-but-parseable complete batch may legitimately teach
     // knowledge; what must survive any corruption is soundness.
     EXPECT_EQ(target.check_invariants(), "");
@@ -464,9 +495,8 @@ class ValidSummaryStreams : public ::testing::Test {
 
   void attack_source(const std::vector<std::uint8_t>& stream) {
     ScriptedConnection scripted(stream);
-    must_parse_or_throw([&] {
-      (void)run_source(scripted, source_, nullptr, SimTime(0), options_);
-    });
+    must_parse_or_throw(
+        [&] { (void)serve_stream(source_, options_, scripted); });
     EXPECT_EQ(source_.check_invariants(), "");
   }
 

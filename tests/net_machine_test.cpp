@@ -117,12 +117,12 @@ struct ClientDriver {
         options.summary_mode = resolve_summary_mode(
             options.summary_mode, hello.features);
         if (mode == SyncMode::Pull || mode == SyncMode::Encounter) {
-          target.emplace(self, policy, options, &budget);
+          target.emplace(self, policy, options, budget);
           target->start(sink, server_id, SimTime(0));
           phase = Phase::Pull;
           // A read-only replica refuses its own pull inside start():
           // the leg is already over, as run_client_session observes
-          // via receive() returning immediately.
+          // via run_blocking returning at once.
           if (target->finished()) {
             pulled = target->take_result();
             if (mode == SyncMode::Encounter) {
@@ -161,7 +161,7 @@ struct ClientDriver {
   }
 
   void start_push() {
-    source.emplace(self, policy, SimTime(0), options, &budget);
+    source.emplace(self, policy, SimTime(0), options, budget);
     phase = Phase::Push;
   }
 };

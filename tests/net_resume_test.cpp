@@ -67,11 +67,9 @@ TEST(ResumeSync, CutThenResumeAccountsEveryByteExactlyOnce) {
                                  item_bytes[0] + item_bytes[1] +
                                  item_bytes[2] / 2;
   ResumeWorld world;
-  LoopbackFaults faults;
-  faults.cut_after_bytes = cut_budget;
   const auto cut = sync_over_loopback(world.source, world.target,
                                       nullptr, nullptr, SimTime(0), {},
-                                      faults);
+                                      cut_budget);
   const auto& cut_stats = cut.client.result.stats;
   EXPECT_TRUE(cut.client.transport_failed);
   EXPECT_FALSE(cut_stats.complete);

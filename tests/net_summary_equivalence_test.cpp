@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "net/chaos.hpp"
+#include "net/loopback.hpp"
 #include "net/session.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/durability.hpp"
@@ -254,11 +255,9 @@ TEST(SummaryEquivalence, CutAtEveryByteNeverDivergesOrLosesItems) {
 
   const auto cut_run = [](SummaryMode mode, std::size_t cut) {
     World world;
-    LoopbackFaults faults;
-    faults.cut_after_bytes = cut;
     const auto outcome = sync_over_loopback(
         world.source, world.target, &world.source_policy,
-        &world.target_policy, SimTime(0), with_mode(mode), faults);
+        &world.target_policy, SimTime(0), with_mode(mode), cut);
     const std::uint64_t cut_target = digest(world.target);
     const std::uint64_t cut_source = digest(world.source);
     const std::size_t applied = outcome.client.result.stats.items_sent;

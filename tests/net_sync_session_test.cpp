@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "net/tcp.hpp"
@@ -99,11 +100,9 @@ TEST(SyncSession, SurvivesLinkCutAtEveryByte) {
 
   for (std::size_t cut = 0; cut <= total; ++cut) {
     World world;
-    LoopbackFaults faults;
-    faults.cut_after_bytes = cut;
     const auto outcome = sync_over_loopback(
         world.source, world.target, &world.source_policy,
-        &world.target_policy, SimTime(0), {}, faults);
+        &world.target_policy, SimTime(0), {}, cut);
     const auto& stats = outcome.client.result.stats;
 
     if (cut < total) {
@@ -139,11 +138,9 @@ TEST(SyncSession, SurvivesLinkCutAtEveryByte) {
 
 TEST(SyncSession, FailedRequestMeansNoSyncAtAll) {
   World world;
-  LoopbackFaults faults;
-  faults.cut_after_bytes = 0;  // nothing crosses
   const auto outcome = sync_over_loopback(
       world.source, world.target, &world.source_policy,
-      &world.target_policy, SimTime(0), {}, faults);
+      &world.target_policy, SimTime(0), {}, 0);  // nothing crosses
   EXPECT_TRUE(outcome.client.transport_failed);
   EXPECT_TRUE(outcome.server.transport_failed);
   EXPECT_EQ(outcome.client.result.stats.items_sent, 0u);
@@ -306,17 +303,98 @@ TEST(SummaryNegotiation, AutoUsesTheFastPathOnceConverged) {
             exact.client.pull.result.stats.batch_bytes);
 }
 
-TEST(SyncSession, ThrottledLinkAccumulatesTransferTime) {
-  World world;
-  LoopbackFaults faults;
-  faults.bytes_per_second = 1000;
-  const auto outcome = sync_over_loopback(
-      world.source, world.target, &world.source_policy,
-      &world.target_policy, SimTime(0), {}, faults);
-  EXPECT_GT(outcome.simulated_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(
-      outcome.simulated_seconds,
-      static_cast<double>(outcome.bytes_delivered) / 1000.0);
+/// Connection that reads a fixed byte script and lets `write_budget`
+/// bytes through before the link dies mid-write (TransportError past
+/// either end).
+class CutConnection : public Connection {
+ public:
+  CutConnection(std::vector<std::uint8_t> script, std::size_t write_budget)
+      : script_(std::move(script)), write_budget_(write_budget) {}
+
+  void write(const std::uint8_t*, std::size_t size) override {
+    const std::size_t delivered = std::min(size, write_budget_);
+    write_budget_ -= delivered;
+    if (delivered < size) throw TransportError("test: link cut");
+  }
+  void read(std::uint8_t* data, std::size_t size) override {
+    if (size > script_.size() - position_)
+      throw TransportError("test: script ended");
+    std::copy_n(script_.begin() + static_cast<std::ptrdiff_t>(position_),
+                size, data);
+    position_ += size;
+  }
+  void close() override {}
+
+ private:
+  std::vector<std::uint8_t> script_;
+  std::size_t position_ = 0;
+  std::size_t write_budget_;
+};
+
+/// A warm summary sync whose exact fallback is cut mid-frame: a
+/// SummaryRequest opener (30 B), the source's SummaryMiss (9 B), and
+/// the fallback Request (20 B) cut after 10 B. The target consumed the
+/// miss, so its batch_bytes counts it, whether the in-process pump or
+/// the blocking loop drives it.
+TEST(SyncSession, CutFallbackCountsTheConsumedSummaryMiss) {
+  constexpr std::size_t kOpener = 30;
+  constexpr std::size_t kMiss = 9;
+  constexpr std::size_t kFallback = 20;
+  SyncOptions summary_on;
+  summary_on.summary_mode = repl::SummaryMode::On;
+  // The target knows the item it pulled, which the source still
+  // stores, but not the source's newer one: the digests differ and the
+  // Bloom filter hits, so the source answers SummaryMiss.
+  const auto warm = [](Replica& source, Replica& target) {
+    source.create(to(9), {'a'});
+    (void)repl::run_sync(source, target, nullptr, nullptr, SimTime(0));
+    source.create(to(7), {'b'});
+  };
+
+  Replica source(ReplicaId(1), Filter::addresses({HostId(5)}));
+  Replica target(ReplicaId(2), Filter::addresses({HostId(9)}));
+  ForwardAll target_policy;  // a two-byte routing blob in both requests
+  warm(source, target);
+  const auto fault_free = sync_over_loopback(
+      source, target, nullptr, &target_policy, SimTime(1), summary_on);
+  ASSERT_EQ(fault_free.client.result.stats.request_bytes,
+            kOpener + kFallback);
+
+  Replica cut_source(ReplicaId(1), Filter::addresses({HostId(5)}));
+  Replica cut_target(ReplicaId(2), Filter::addresses({HostId(9)}));
+  warm(cut_source, cut_target);
+  const auto pumped =
+      sync_over_loopback(cut_source, cut_target, nullptr, &target_policy,
+                         SimTime(1), summary_on,
+                         kOpener + kMiss + kFallback / 2);
+  EXPECT_TRUE(pumped.client.transport_failed);
+  EXPECT_TRUE(pumped.server.transport_failed);
+  EXPECT_EQ(pumped.client.result.stats.request_bytes, kOpener);
+  EXPECT_EQ(pumped.client.result.stats.batch_bytes, kMiss);
+  EXPECT_EQ(pumped.bytes_delivered, kOpener + kMiss + kFallback / 2);
+
+  // The blocking loop, fed the same bytes: the SummaryMiss to read,
+  // and a link that dies 10 B into the fallback write.
+  std::vector<std::uint8_t> miss;
+  SessionBudget encoding;
+  BufferFrameSink(miss, encoding)
+      .send(repl::SyncFrame::SummaryMiss,
+            repl::encode_summary_reply(cut_source.id()));
+  ASSERT_EQ(miss.size(), kMiss);
+  Replica blocking_source(ReplicaId(1), Filter::addresses({HostId(5)}));
+  Replica blocking_target(ReplicaId(2), Filter::addresses({HostId(9)}));
+  warm(blocking_source, blocking_target);
+  CutConnection link(miss, kOpener + kFallback / 2);
+  SessionBudget budget;
+  TargetSession session(blocking_target, &target_policy, summary_on,
+                        budget);
+  ConnectionFrameSink sink(link, budget);
+  session.start(sink, blocking_source.id(), SimTime(1));
+  run_blocking(link, budget, session);
+  const NetSyncResult blocking = session.take_result();
+  EXPECT_TRUE(blocking.transport_failed);
+  EXPECT_EQ(blocking.result.stats.request_bytes, kOpener);
+  EXPECT_EQ(blocking.result.stats.batch_bytes, kMiss);
 }
 
 }  // namespace

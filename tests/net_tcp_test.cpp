@@ -69,7 +69,8 @@ TEST(Tcp, EofMidFrameIsTransportError) {
     connection->close();
   });
   auto client = tcp_connect("127.0.0.1", listener.port());
-  EXPECT_THROW(read_frame(*client), TransportError);
+  SessionBudget budget;
+  EXPECT_THROW(read_frame(*client, budget), TransportError);
   server.join();
 }
 

@@ -65,7 +65,7 @@ pin a5ed03f217bf6194 "${CHECK[@]}" --crash-rate 0.3
 pin 0e153d9506d07ad4 "${CHECK[@]}" --adversary-rate 0.4
 pin 7f73d4b4836f2213 "${CHECK[@]}" --quiesce 2
 pin 579340137c3890d9 "${CHECK[@]}" --summary-rate 0.5
-pin ab6de17a0e6ce3e4 "${CHECK[@]}" --summary-rate 0.5 \
+pin b7ec19e5c1b2a38f "${CHECK[@]}" --summary-rate 0.5 \
   --summary-collision-rate 0.5
 pin d792b3669a59c96e "${CHECK[@]}" --disk-fault-rate 0.1 --crash-rate 0.3
 pin 53077420ea33dfa9 "${CHECK[@]}" --retry-max 2 --cut-rate 0.6
@@ -78,9 +78,9 @@ SCHEDULE=(--replicas 3 --steps 40 --addresses 3 --cut-rate 0.5
           --adversary-rate 0.1 --quiesce 3 --summary-rate 0.2
           --summary-collision-rate 0.1 --disk-fault-rate 0.02
           --retry-max 1 --inject-bug learn-truncated)
-pin 95ceb296d6b09469 check --replay 5 "${SCHEDULE[@]}" --shrink-budget 50 \
+pin fc64fbba40ec1abf check --replay 5 "${SCHEDULE[@]}" --shrink-budget 50 \
   --log
-pin e71654dc98dd0e4d check --replay 5 "${SCHEDULE[@]}" --no-shrink
+pin 50e71dfc71d82648 check --replay 5 "${SCHEDULE[@]}" --no-shrink
 "$CLI" check --replay 5 "${SCHEDULE[@]}" > failing.out
 grep -qx "replay: pfrdtn check ${SCHEDULE[*]} --replay 5" failing.out ||
   fail "the replay hint does not re-quote the schedule flags"
