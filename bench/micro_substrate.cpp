@@ -195,7 +195,7 @@ Item relay_item(std::uint64_t id, std::uint64_t dest) {
 /// so the cost no longer grows with capacity.
 void BM_StoreEvictionAtCapacity(benchmark::State& state) {
   const auto cap = static_cast<std::size_t>(state.range(0));
-  ItemStore store(ItemStore::Config{cap, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{cap});
   std::uint64_t next = 1;
   for (std::size_t i = 0; i < cap; ++i)
     store.put(relay_item(next++, 2), false, false);

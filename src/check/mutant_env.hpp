@@ -51,7 +51,7 @@ class MutantEnv final : public persist::StorageEnv {
     inner_.append(name, data, size);
   }
   void sync(const std::string& name) override {
-    // WAL segments are wal.log and wal.<epoch>.log.
+    // WAL segments are wal.<epoch>.log.
     if (name.rfind("wal", 0) != 0) return inner_.sync(name);
     if (mutant_ == DurabilityMutant::SkipFsync) return;
     try {

@@ -138,8 +138,7 @@ class Engine {
           ReplicaId(i + 1),
           filter_from_bits(scenario.initial_filter_bits[i],
                            config.addresses),
-          repl::ItemStore::Config{config.relay_capacity,
-                                  repl::EvictionOrder::Fifo});
+          repl::ItemStore::Config{config.relay_capacity});
     }
     // Every replica persists through the crash-simulating MemEnv;
     // fsync-per-record, so the digest probe in apply_crash may demand
@@ -504,7 +503,6 @@ class Engine {
 
       ++result_.stats.syncs;
       if (attempt > 0) {
-        ++result_.stats.retries;
         note += " | retry#" + std::to_string(attempt) +
                 (cut_budget > 0 ? " cut=" + std::to_string(cut_budget)
                                 : "");
@@ -702,8 +700,7 @@ class Engine {
   /// it and the digest probe still demands exact state equality.
   void inject_torn_tail(persist::MemEnv& env, const Event& event) {
     if (event.crash_torn_mode == kTornNone) return;
-    // Under generations the live log is the newest manifest epoch's
-    // segment (the pre-generation harness tore the legacy "wal.log").
+    // The live log is the newest manifest epoch's segment.
     const std::vector<std::uint64_t> epochs =
         persist::decode_manifest(env.read_file(persist::kManifestFile));
     const std::string wal = persist::wal_file(epochs.back());

@@ -199,8 +199,6 @@ struct RunStats {
   /// frame instead of the opening request) plus mutations refused with
   /// ReadOnlyError.
   std::size_t refused = 0;
-  /// Contact re-dials taken by the retry discipline after a cut.
-  std::size_t retries = 0;
 };
 
 struct RunResult {

@@ -69,6 +69,24 @@ repl::SummaryMode resolve_summary_mode(repl::SummaryMode requested,
 
 namespace {
 
+/// The leg of an encounter that a dead link never started, reported as
+/// cut: transport_failed, incomplete, zero bytes, and the link's error.
+NetSyncResult unstarted_target_leg(const std::string& error) {
+  NetSyncResult leg;
+  leg.result.stats.complete = false;
+  leg.transport_failed = true;
+  leg.error = error;
+  return leg;
+}
+
+SourceStats unstarted_source_leg(const std::string& error) {
+  SourceStats leg;
+  leg.stats.complete = false;
+  leg.transport_failed = true;
+  leg.error = error;
+  return leg;
+}
+
 /// Cap on the opaque policy blob, shared by both request forms.
 void check_routing_blob(const std::vector<std::uint8_t>& blob,
                         const ResourceLimits& limits) {
@@ -224,7 +242,7 @@ void TargetSession::start(FrameSink& sink, ReplicaId source_id,
     }
     if (options_.summary_mode != repl::SummaryMode::Off) {
       const repl::SummaryRequestInfo request = repl::make_summary_request(
-          *target_, policy_, source_id, now, options_.summary);
+          *target_, policy_, source_id, now);
       routing_state_ = request.routing_state;
       ByteWriter w;
       request.serialize(w);
@@ -490,11 +508,17 @@ LoopbackEncounterOutcome encounter_over_loopback(
   ContactWindow window(cut_after_bytes);
   ContactEnd a_end(a, a_policy);
   ContactEnd b_end(b, b_policy);
-  // Sync 1: a pulls from b. Sync 2: roles swap on the same contact.
+  // Sync 1: a pulls from b. Sync 2: roles swap on the same contact,
+  // unless the pull found the link dead, which ends the encounter.
   pump_sync(window, a_end, b_end, now, options, outcome.a_pulled,
             outcome.b_served);
-  pump_sync(window, b_end, a_end, now, options, outcome.b_applied,
-            outcome.a_pushed);
+  if (outcome.a_pulled.transport_failed) {
+    outcome.b_applied = unstarted_target_leg(window.closed_message());
+    outcome.a_pushed = unstarted_source_leg(window.closed_message());
+  } else {
+    pump_sync(window, b_end, a_end, now, options, outcome.b_applied,
+              outcome.a_pushed);
+  }
   outcome.bytes_delivered = window.delivered();
   return outcome;
 }
@@ -579,7 +603,11 @@ ClientSessionOutcome run_client_session(Connection& connection,
     if (outcome.pull.transport_failed) {
       outcome.transport_failed = true;
       outcome.error = outcome.pull.error;
-      if (mode == SyncMode::Encounter) return outcome;
+      if (mode == SyncMode::Encounter) {
+        // A dead link ends the encounter: the push leg never starts.
+        outcome.push = unstarted_source_leg(outcome.error);
+        return outcome;
+      }
     }
   }
   if (mode == SyncMode::Push || mode == SyncMode::Encounter) {
@@ -683,6 +711,7 @@ void ServerSessionMachine::harvest_source(FrameSink* sink) {
     outcome_.error = outcome_.served.error;
     // A dead link never starts the push leg of an encounter.
     if (outcome_.hello.mode == SyncMode::Encounter) {
+      outcome_.applied = unstarted_target_leg(outcome_.error);
       state_ = State::Done;
       return;
     }

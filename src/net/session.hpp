@@ -45,6 +45,11 @@
 /// target (the push leg) ends with one more frame, server -> client:
 /// a BatchAck confirming the batch was applied, which the pushing
 /// client blocks on before calling the push delivered.
+///
+/// A dead link ends the contact on every host: once an encounter's
+/// pull leg fails, its push leg is never started, and each host
+/// reports that leg as cut — transport_failed, complete == false, zero
+/// bytes, and the pull's link error.
 
 #include <optional>
 #include <string>
@@ -298,8 +303,8 @@ LoopbackSyncOutcome sync_over_loopback(
 /// `b`, then `a` pushes to `b` — the paper's two one-way syncs per
 /// encounter (Section VI). The contact window and each end's
 /// SessionBudget span both syncs, so the window can close during
-/// either; the push is still attempted after a cut pull (its opener
-/// fails at once).
+/// either. A pull cut by the window ends the encounter: the push leg
+/// is never started, and is reported as cut (see the file comment).
 struct LoopbackEncounterOutcome {
   NetSyncResult a_pulled;   ///< a as target of the first sync
   SourceStats b_served;     ///< b as source of the first sync

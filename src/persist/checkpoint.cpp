@@ -50,7 +50,7 @@ std::vector<std::uint8_t> encode_replica_state(
   const repl::ItemStore::Config& config = store.config();
   w.u8(config.relay_capacity.has_value() ? 1 : 0);
   w.uvarint(config.relay_capacity.value_or(0));
-  w.u8(config.eviction == repl::EvictionOrder::Lifo ? 1 : 0);
+  w.u8(0);  // eviction order: FIFO, the only one
   w.uvarint(store.next_arrival_seq());
   w.uvarint(store.size());
   // for_each visits in arrival order, so arrival_seq is strictly
@@ -77,10 +77,7 @@ repl::Replica decode_replica_state(
   const bool has_capacity = r.u8() != 0;
   const std::uint64_t capacity = r.uvarint();
   if (has_capacity) config.relay_capacity = capacity;
-  const std::uint8_t eviction = r.u8();
-  PFRDTN_REQUIRE(eviction <= 1);
-  config.eviction = eviction == 1 ? repl::EvictionOrder::Lifo
-                                  : repl::EvictionOrder::Fifo;
+  PFRDTN_REQUIRE(r.u8() == 0);  // eviction order: FIFO, the only one
 
   repl::Replica replica(id, std::move(filter), config);
   replica.restore_knowledge(std::move(knowledge));

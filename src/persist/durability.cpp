@@ -88,14 +88,18 @@ ItemId decode_delivered_record(const std::vector<std::uint8_t>& payload) {
   return id;
 }
 
+/// A pre-generation build's single checkpoint. This build does not
+/// read that layout; recover() refuses a directory that holds it.
+constexpr const char* kPreGenerationCheckpoint = "checkpoint.bin";
+
 /// The generation that actually loaded, plus everything the manifest
 /// said. Shared by recover() (full replay) and attach() (delivered
-/// ledger + repair) so both walk the exact same fallback order.
+/// ledger + resume or repair) so both walk the exact same fallback
+/// order.
 struct ChainLoad {
   std::vector<std::uint64_t> epochs;  ///< manifest, ascending
-  std::uint64_t landed = 0;           ///< newest epoch that decoded
-  std::size_t generations_tried = 0;
-  std::optional<DecodedCheckpoint> ck;
+  std::optional<DecodedCheckpoint> ck;  ///< the newest that decoded
+  RecoveryStats stats;  ///< filled by load_chain and walk_segments
 };
 
 /// Decode the manifest and try checkpoints newest-first until one
@@ -105,16 +109,20 @@ struct ChainLoad {
 ChainLoad load_chain(StorageEnv& env) {
   ChainLoad out;
   out.epochs = decode_manifest(env.read_file(kManifestFile));
+  std::size_t tried = 0;
   for (auto it = out.epochs.rbegin(); it != out.epochs.rend(); ++it) {
-    ++out.generations_tried;
+    ++tried;
     try {
       DecodedCheckpoint ck =
           decode_checkpoint(env.read_file(checkpoint_file(*it)));
       // A checkpoint claiming a different epoch than its file name is
       // as corrupt as a bad CRC: fall back past it.
       PFRDTN_REQUIRE(ck.epoch == *it);
-      out.landed = *it;
       out.ck.emplace(std::move(ck));
+      out.stats.epoch = *it;
+      out.stats.newest_epoch = out.epochs.back();
+      out.stats.generations_tried = tried;
+      out.stats.fallback = *it != out.epochs.back();
       return out;
     } catch (const ContractViolation&) {
       // Unreadable or corrupt: fall back one generation.
@@ -124,6 +132,45 @@ ChainLoad load_chain(StorageEnv& env) {
       "no readable checkpoint generation (" +
       std::to_string(out.epochs.size()) +
       " listed in the manifest, all corrupt or missing)");
+}
+
+/// The one walk of the WAL segment chain, shared by recover() and
+/// attach(): from the landed generation to the newest, fold every
+/// Delivered record into the checkpoint's ledger, replay every other
+/// record into the checkpoint's replica when `replay` is set, and
+/// count what was read into the chain's stats. checkpoint.<E+1> ==
+/// checkpoint.<E> + full wal.<E> replay, so each complete segment
+/// advances the state exactly one generation, and the newest segment's
+/// valid prefix finishes the job. A gap in the chain (missing or
+/// wrong-epoch segment) ends it — records beyond a gap cannot be
+/// ordered against the state. Returns the scan of the last segment
+/// read (valid_header is false when none was).
+WalScan walk_segments(StorageEnv& env, ChainLoad& chain, bool replay) {
+  RecoveryStats& stats = chain.stats;
+  WalScan last;
+  for (const std::uint64_t e : chain.epochs) {
+    if (e < stats.epoch) continue;
+    WalScan scan = scan_wal_file(env, wal_file(e));
+    if (!scan.valid_header || scan.epoch != e) {
+      if (e == stats.epoch) stats.wal_stale = true;
+      break;
+    }
+    for (const auto& record : scan.records) {
+      // Delivered records are node-level ledger entries, not replica
+      // mutations; fold them into the ledger instead of replaying.
+      if (is_delivered_record(record)) {
+        chain.ck->delivered.insert(decode_delivered_record(record));
+      } else if (replay) {
+        apply_wal_record(chain.ck->replica, record);
+      }
+      ++stats.wal_records_replayed;
+    }
+    stats.wal_bytes_valid += scan.valid_bytes;
+    stats.wal_bytes_truncated += scan.torn_bytes;
+    ++stats.segments_replayed;
+    last = std::move(scan);
+  }
+  return last;
 }
 
 }  // namespace
@@ -178,7 +225,8 @@ void apply_wal_record(repl::Replica& replica,
 Durability::Durability(StorageEnv& env, DurabilityOptions options)
     : env_(env),
       options_(std::move(options)),
-      wal_(env, kWalFile, options_.sync_every_records) {
+      // No segment until attach() names one.
+      wal_(env, {}, options_.sync_every_records) {
   if (options_.checkpoint_generations == 0)
     options_.checkpoint_generations = 1;
   next_checkpoint_at_ = options_.checkpoint_every_bytes;
@@ -199,8 +247,6 @@ void Durability::attach(repl::Replica& replica) {
   PFRDTN_REQUIRE(replica.mutation_sink() == nullptr);
   if (env_.exists(kManifestFile)) {
     attach_generations(replica);
-  } else if (env_.exists(kCheckpointFile)) {
-    migrate_legacy(replica);
   } else {
     attach_fresh(replica);
   }
@@ -216,56 +262,36 @@ void Durability::attach(repl::Replica& replica) {
 }
 
 void Durability::attach_generations(repl::Replica& replica) {
-  epochs_ = decode_manifest(env_.read_file(kManifestFile));
-  const std::uint64_t newest = epochs_.back();
-  std::optional<DecodedCheckpoint> ck;
-  try {
-    ck.emplace(decode_checkpoint(env_.read_file(checkpoint_file(newest))));
-    PFRDTN_REQUIRE(ck->epoch == newest);
-  } catch (const ContractViolation&) {
-    ck.reset();
-  }
-  if (ck.has_value()) {
+  // Walk the chain recover() walked, without replay: the caller's
+  // replica already holds the state, and only the delivered ledger
+  // rides along in the log.
+  ChainLoad chain = load_chain(env_);
+  const WalScan newest = walk_segments(env_, chain, /*replay=*/false);
+  delivered_ = std::move(chain.ck->delivered);
+  epochs_ = std::move(chain.epochs);
+  const std::uint64_t landed = chain.stats.epoch;
+  if (!chain.stats.fallback) {
     // Healthy newest generation: resume its WAL segment after the last
-    // valid record (dropping any torn tail on disk).
-    epoch_ = newest;
-    delivered_ = std::move(ck->delivered);
-    const WalScan scan = scan_wal_file(env_, wal_file(newest));
-    wal_.set_file(wal_file(newest));
-    if (scan.valid_header && scan.epoch == newest) {
-      // Delivered records ride the same log; restore the ledger from
-      // them so the next checkpoint carries the complete set.
-      for (const auto& record : scan.records) {
-        if (is_delivered_record(record))
-          delivered_.insert(decode_delivered_record(record));
-      }
-      wal_.resume(scan);
+    // valid record (dropping any torn tail on disk), or start it clean
+    // when it is missing or stale.
+    epoch_ = landed;
+    wal_.set_file(wal_file(epoch_));
+    if (newest.valid_header) {
+      wal_.resume(newest);
     } else {
-      wal_.reset(newest);  // stale or missing segment: start clean
+      wal_.reset(epoch_);
     }
     return;
   }
   // The newest checkpoint is corrupt — the caller recovered `replica`
   // via generation fallback. Repair: snapshot the recovered state one
   // epoch past the corrupt one, drop the unreadable generations from
-  // the manifest, and start a fresh segment. The delivered ledger is
-  // recomputed by walking the same chain recover() walked.
-  const ChainLoad chain = load_chain(env_);
-  delivered_ = chain.ck->delivered;
-  for (const std::uint64_t e : chain.epochs) {
-    if (e < chain.landed) continue;
-    const WalScan scan = scan_wal_file(env_, wal_file(e));
-    if (!scan.valid_header || scan.epoch != e) break;
-    for (const auto& record : scan.records) {
-      if (is_delivered_record(record))
-        delivered_.insert(decode_delivered_record(record));
-    }
-  }
+  // the manifest, and start a fresh segment.
   const std::uint64_t repair_epoch = epochs_.back() + 1;
   std::vector<std::uint64_t> kept;
   std::vector<std::uint64_t> dropped;
   for (const std::uint64_t e : epochs_) {
-    (e <= chain.landed ? kept : dropped).push_back(e);
+    (e <= landed ? kept : dropped).push_back(e);
   }
   // Checkpoint before manifest: the manifest must never reference a
   // generation that is not yet durable.
@@ -288,44 +314,6 @@ void Durability::attach_generations(repl::Replica& replica) {
     }
   }
   prune_generations();
-}
-
-void Durability::migrate_legacy(repl::Replica& replica) {
-  // Pre-generation layout: single checkpoint.bin + wal.log. Migrate in
-  // place — copy the checkpoint bytes and the WAL's valid prefix into
-  // generation-named files, write the first manifest, then drop the
-  // legacy names. A crash before the manifest is durable leaves the
-  // legacy files authoritative (recover() checks the manifest first),
-  // so every window replays identically.
-  (void)replica;
-  const std::vector<std::uint8_t> ck_bytes =
-      env_.read_file(kCheckpointFile);
-  const DecodedCheckpoint ck = decode_checkpoint(ck_bytes);
-  epoch_ = ck.epoch;
-  delivered_ = ck.delivered;
-  env_.write_file_durable(checkpoint_file(epoch_), ck_bytes);
-  const WalScan scan = scan_wal_file(env_, kWalFile);
-  wal_.set_file(wal_file(epoch_));
-  if (scan.valid_header && scan.epoch == epoch_) {
-    for (const auto& record : scan.records) {
-      if (is_delivered_record(record))
-        delivered_.insert(decode_delivered_record(record));
-    }
-    // Copy the valid prefix (header + records, torn tail dropped) into
-    // the segment, durable *before* the manifest references it.
-    const std::vector<std::uint8_t> old = env_.read_file(kWalFile);
-    if (env_.exists(wal_file(epoch_)))
-      env_.truncate(wal_file(epoch_), 0);
-    env_.append(wal_file(epoch_), old.data(), scan.valid_bytes);
-    env_.sync(wal_file(epoch_));
-    wal_.resume(scan);
-  } else {
-    wal_.reset(epoch_);
-  }
-  env_.write_file_durable(kManifestFile, encode_manifest({epoch_}));
-  epochs_ = {epoch_};
-  env_.remove(kCheckpointFile);
-  env_.remove(kWalFile);
 }
 
 void Durability::attach_fresh(repl::Replica& replica) {
@@ -574,86 +562,24 @@ void Durability::on_policy_state(
   log(encode_policy_state(id, all));
 }
 
-namespace {
-
-std::optional<RecoveredReplica> recover_generations(StorageEnv& env) {
-  ChainLoad chain = load_chain(env);
-  RecoveryStats stats;
-  stats.epoch = chain.landed;
-  stats.newest_epoch = chain.epochs.back();
-  stats.generations_tried = chain.generations_tried;
-  stats.fallback = chain.landed != chain.epochs.back();
-  std::set<ItemId> delivered = std::move(chain.ck->delivered);
-  // Replay the segment chain from the landed generation to the newest:
-  // checkpoint.<E+1> == checkpoint.<E> + full wal.<E> replay, so each
-  // complete segment advances the state exactly one generation, and
-  // the newest segment's valid prefix finishes the job. A gap in the
-  // chain (missing or wrong-epoch segment) ends it — records beyond a
-  // gap cannot be ordered against the state.
-  for (const std::uint64_t e : chain.epochs) {
-    if (e < chain.landed) continue;
-    const WalScan scan = scan_wal_file(env, wal_file(e));
-    if (!scan.valid_header || scan.epoch != e) {
-      if (e == chain.landed) stats.wal_stale = true;
-      break;
+std::optional<RecoveredReplica> recover(StorageEnv& env) {
+  if (!env.exists(kManifestFile)) {
+    // No manifest is a fresh directory, unless a pre-generation build
+    // wrote it. Starting fresh over that state would lose it, so refuse.
+    if (env.exists(kPreGenerationCheckpoint)) {
+      throw ContractViolation(
+          std::string("state directory holds a pre-generation ") +
+          kPreGenerationCheckpoint + " and no " + kManifestFile +
+          ": that layout is no longer read");
     }
-    for (const auto& record : scan.records) {
-      // Delivered records are node-level ledger entries, not replica
-      // mutations; fold them into the ledger instead of replaying.
-      if (is_delivered_record(record)) {
-        delivered.insert(decode_delivered_record(record));
-      } else {
-        apply_wal_record(chain.ck->replica, record);
-      }
-      ++stats.wal_records_replayed;
-    }
-    stats.wal_bytes_valid += scan.valid_bytes;
-    stats.wal_bytes_truncated += scan.torn_bytes;
-    ++stats.segments_replayed;
+    return std::nullopt;
   }
+  ChainLoad chain = load_chain(env);
+  walk_segments(env, chain, /*replay=*/true);
   const std::string violation = chain.ck->replica.check_invariants();
   PFRDTN_REQUIRE(violation.empty());
   return RecoveredReplica{std::move(chain.ck->replica),
-                          std::move(delivered), std::move(stats)};
-}
-
-std::optional<RecoveredReplica> recover_legacy(StorageEnv& env) {
-  DecodedCheckpoint ck =
-      decode_checkpoint(env.read_file(kCheckpointFile));
-  RecoveryStats stats;
-  stats.epoch = ck.epoch;
-  stats.newest_epoch = ck.epoch;
-  std::set<ItemId> delivered = std::move(ck.delivered);
-  const WalScan scan = scan_wal_file(env, kWalFile);
-  if (scan.valid_header && scan.epoch == ck.epoch) {
-    for (const auto& record : scan.records) {
-      if (is_delivered_record(record)) {
-        delivered.insert(decode_delivered_record(record));
-      } else {
-        apply_wal_record(ck.replica, record);
-      }
-      ++stats.wal_records_replayed;
-    }
-    stats.wal_bytes_valid = scan.valid_bytes;
-    stats.wal_bytes_truncated = scan.torn_bytes;
-    stats.segments_replayed = 1;
-  } else {
-    // Missing, foreign, or pre-checkpoint log: the checkpoint already
-    // contains everything it recorded.
-    stats.wal_stale = true;
-  }
-  const std::string violation = ck.replica.check_invariants();
-  PFRDTN_REQUIRE(violation.empty());
-  return RecoveredReplica{std::move(ck.replica), std::move(delivered),
-                          std::move(stats)};
-}
-
-}  // namespace
-
-std::optional<RecoveredReplica> recover(StorageEnv& env) {
-  if (env.exists(kManifestFile)) return recover_generations(env);
-  if (env.exists(kCheckpointFile)) return recover_legacy(env);
-  return std::nullopt;
+                          std::move(chain.ck->delivered), chain.stats};
 }
 
 }  // namespace pfrdtn::persist

@@ -60,11 +60,6 @@
 
 namespace pfrdtn::persist {
 
-/// Legacy single-generation layout (pre-manifest state directories).
-/// recover()/attach() still read it and migrate to generations on the
-/// first attach.
-inline constexpr const char* kCheckpointFile = "checkpoint.bin";
-inline constexpr const char* kWalFile = "wal.log";
 /// Best-effort marker dropped when the layer degrades (content: the
 /// triggering StorageError). Removed by the next successful attach().
 inline constexpr const char* kDegradedMarkerFile = "DEGRADED";
@@ -143,10 +138,12 @@ struct DurabilityCounters {
 ///
 /// attach() assumes `replica` matches the on-disk state (it was just
 /// recovered from this env, or the env is fresh). On a fresh env it
-/// writes the initial checkpoint + manifest; on a legacy env it
-/// migrates to the generation layout; when the newest generation is
-/// corrupt (the caller recovered via fallback) it repairs by writing a
-/// fresh checkpoint one epoch past the corrupt one.
+/// writes the initial checkpoint + manifest. Otherwise it walks the
+/// same generation chain recover() walked, restoring the delivered
+/// ledger: it resumes the newest segment after its last valid record,
+/// or, when the newest generation is corrupt (the caller recovered via
+/// fallback), repairs by writing a fresh checkpoint one epoch past the
+/// corrupt one.
 class Durability final : public repl::ReplicaMutationSink {
  public:
   Durability(StorageEnv& env, DurabilityOptions options = {});
@@ -214,7 +211,6 @@ class Durability final : public repl::ReplicaMutationSink {
   /// Flip to degraded read-only mode (idempotent).
   void degrade(const StorageError& err);
   void attach_generations(repl::Replica& replica);
-  void migrate_legacy(repl::Replica& replica);
   void attach_fresh(repl::Replica& replica);
 
   StorageEnv& env_;
@@ -271,14 +267,17 @@ struct RecoveredReplica {
 };
 
 /// Rebuild replica state from `env`. Returns nullopt when no manifest
-/// or legacy checkpoint exists (a fresh state directory). Tries
-/// checkpoint generations newest-first, falling back past corrupt ones
-/// and replaying the WAL segment chain from the generation that loads.
-/// Throws ContractViolation when *every* retained generation is
-/// corrupt, a CRC-valid WAL record fails to replay, or the recovered
-/// state fails Replica::check_invariants — corruption is rejected,
-/// never loaded. A torn WAL tail (short write at the crash point) is
-/// not corruption: it is truncated at the last valid record.
+/// exists (a fresh state directory). Tries checkpoint generations
+/// newest-first, falling back past corrupt ones and replaying the WAL
+/// segment chain from the generation that loads. Throws
+/// ContractViolation when the directory holds a pre-generation
+/// `checkpoint.bin` and no manifest (a layout this build does not
+/// read; starting fresh over it would lose the node's state), when
+/// *every* retained generation is corrupt, a CRC-valid WAL record
+/// fails to replay, or the recovered state fails
+/// Replica::check_invariants — corruption is rejected, never loaded.
+/// A torn WAL tail (short write at the crash point) is not corruption:
+/// it is truncated at the last valid record.
 std::optional<RecoveredReplica> recover(StorageEnv& env);
 
 }  // namespace pfrdtn::persist

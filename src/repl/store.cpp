@@ -185,9 +185,7 @@ std::vector<Item> ItemStore::enforce_capacity() {
   std::vector<Item> victims;
   if (!config_.relay_capacity) return victims;
   while (evictable_count_ > *config_.relay_capacity) {
-    const auto victim_it = config_.eviction == EvictionOrder::Fifo
-                               ? evictable_order_.begin()
-                               : std::prev(evictable_order_.end());
+    const auto victim_it = evictable_order_.begin();
     PFRDTN_ENSURE(victim_it != evictable_order_.end());
     const ItemId id = victim_it->second;
     victims.push_back(entries_.at(id).item);

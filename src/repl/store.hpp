@@ -14,8 +14,8 @@
 ///  - relay / evictable counters (O(1) queries; eviction no longer
 ///    rescans the store to count),
 ///  - an arrival-ordered index of just the evictable entries, so
-///    enforce_capacity picks each FIFO/LIFO victim in O(log n) instead
-///    of walking the whole arrival order,
+///    enforce_capacity picks each FIFO victim in O(log n) instead of
+///    walking the whole arrival order,
 ///  - an inverted index over parsed `dest` addresses, so batch
 ///    building enumerates the candidates of an address filter (the DTN
 ///    common case) in O(matching) via for_filter_matches() instead of
@@ -42,19 +42,14 @@
 
 namespace pfrdtn::repl {
 
-/// How the relay store picks a victim when over capacity.
-enum class EvictionOrder {
-  Fifo,  ///< oldest arrival first (the paper's strategy)
-  Lifo,  ///< newest arrival first
-};
-
 class ItemStore {
  public:
   struct Config {
     /// Maximum number of evictable (relay, non-locally-authored) items;
     /// nullopt = unbounded (the paper's unconstrained experiments).
+    /// Over capacity, the oldest arrival is evicted first (FIFO, the
+    /// paper's strategy).
     std::optional<std::size_t> relay_capacity;
-    EvictionOrder eviction = EvictionOrder::Fifo;
   };
 
   struct Entry {

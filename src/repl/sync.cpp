@@ -214,12 +214,11 @@ SyncResult BatchApplier::abandon() {
 
 SummaryRequestInfo make_summary_request(Replica& target,
                                         ForwardingPolicy* target_policy,
-                                        ReplicaId source_id, SimTime now,
-                                        const SummaryParams& params) {
+                                        ReplicaId source_id, SimTime now) {
   SummaryRequestInfo req;
   req.target = target.id();
   req.filter = target.filter();
-  req.summary = summarize(target.knowledge(), params);
+  req.summary = summarize(target.knowledge(), SummaryParams{});
   req.routing_state =
       request_routing_state(target, target_policy, source_id, now);
   return req;

@@ -87,8 +87,6 @@ struct SyncOptions {
 
   /// Summary-exchange fast path (see SummaryMode).
   SummaryMode summary_mode = SummaryMode::Off;
-  /// Bloom filter tuning for the summary the target offers.
-  SummaryParams summary;
   /// TESTING ONLY — the source treats every summary digest as matching
   /// its own, simulating a 64-bit digest collision. Items are deferred
   /// to future exact syncs but must never be lost and knowledge must
@@ -235,8 +233,7 @@ struct SummaryAnswer {
 /// policy's generate_request through request_routing_state.
 SummaryRequestInfo make_summary_request(Replica& target,
                                         ForwardingPolicy* target_policy,
-                                        ReplicaId source_id, SimTime now,
-                                        const SummaryParams& params);
+                                        ReplicaId source_id, SimTime now);
 
 /// Source summary step: decide Match / Miss / Batch. Always processes
 /// the request's routing state first (policy parity with build_batch);

@@ -144,6 +144,40 @@ TEST(Encounter, SecondDirectionSeesFirstDirectionsState) {
                 outcome.b_applied.result.stats.batch_bytes);
 }
 
+/// ForwardAll that counts the target-side hook, so a test can tell
+/// whether a leg was started at all.
+class CountingPolicy : public ForwardAll {
+ public:
+  std::vector<std::uint8_t> generate_request(const SyncContext&) override {
+    ++requests;
+    return {};
+  }
+  std::size_t requests = 0;
+};
+
+TEST(Encounter, CutPullNeverStartsThePushLeg) {
+  // A pull that dies ends the encounter, as it does over TCP: b never
+  // builds the push leg's request, and that leg is reported as cut.
+  World world;
+  CountingPolicy b_policy;
+  const auto outcome =
+      encounter_over_loopback(world.a, world.b, &world.a_policy, &b_policy,
+                              SimTime(0), {}, /*cut_after_bytes=*/1);
+  ASSERT_TRUE(outcome.a_pulled.transport_failed);
+  EXPECT_EQ(b_policy.requests, 0u);
+
+  const repl::SyncStats& applied = outcome.b_applied.result.stats;
+  EXPECT_TRUE(outcome.b_applied.transport_failed);
+  EXPECT_FALSE(applied.complete);
+  EXPECT_EQ(applied.request_bytes + applied.batch_bytes, 0u);
+  EXPECT_EQ(outcome.b_applied.error, outcome.a_pulled.error);
+  EXPECT_TRUE(outcome.a_pushed.transport_failed);
+  EXPECT_FALSE(outcome.a_pushed.stats.complete);
+  EXPECT_EQ(outcome.a_pushed.stats.batch_bytes, 0u);
+  EXPECT_EQ(outcome.a_pushed.error, outcome.a_pulled.error);
+  EXPECT_EQ(outcome.bytes_delivered, 1u);
+}
+
 /// One leg's outcome as a stable text record, for the cut digest.
 std::string leg_record(const NetSyncResult& leg) {
   const repl::SyncStats& stats = leg.result.stats;

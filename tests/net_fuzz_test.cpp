@@ -317,6 +317,32 @@ TEST(NetFuzz, PushedBatchNeedsTheServersAck) {
   }
 }
 
+TEST(NetFuzz, ClientEncounterReportsUnstartedPushAsCut) {
+  // The script plays a server that answers the Hello and then dies, so
+  // the encounter's pull fails. A dead leg ends the contact: the push
+  // never starts, and the client reports it as cut, as the pump and
+  // the server machine do.
+  SessionBudget scripting;
+  ScriptedConnection script;
+  write_frame(script, repl::SyncFrame::Hello,
+              encode_hello({ReplicaId(9), SyncMode::Encounter,
+                            kFeatureBatchAck}),
+              scripting);
+  Replica self(ReplicaId(50), Filter::addresses({HostId(7)}));
+  self.create({{repl::meta::kDest, "5"}}, {'x'});
+  ScriptedConnection connection(script.written());
+  const auto outcome = run_client_session(connection, self, nullptr,
+                                          SyncMode::Encounter, SimTime(0));
+  ASSERT_TRUE(outcome.pull.transport_failed);
+  EXPECT_TRUE(outcome.transport_failed);
+  const repl::SyncStats& pushed = outcome.push.stats;
+  EXPECT_TRUE(outcome.push.transport_failed);
+  EXPECT_FALSE(pushed.complete);
+  EXPECT_EQ(pushed.items_sent, 0u);
+  EXPECT_EQ(pushed.request_bytes + pushed.batch_bytes, 0u);
+  EXPECT_EQ(outcome.push.error, outcome.pull.error);
+}
+
 TEST(NetFuzz, ClientSessionSurvivesArbitraryHelloReplies) {
   // The client's first read is the server's Hello — or, since this PR,
   // possibly a transient Error refusal. Replay every kind of framed

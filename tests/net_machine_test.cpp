@@ -344,13 +344,19 @@ TEST(MachineSession, SurvivesCutAtEveryFrameBoundary) {
     ASSERT_TRUE(shuttle.server.finished()) << "cut=" << cut;
     const ServerSessionOutcome outcome = shuttle.server.take_outcome();
     EXPECT_TRUE(outcome.transport_failed) << "cut=" << cut;
-    // Once the push leg has moved any bytes, its truncation must be
-    // visible as an incomplete sync. (Cuts before the target leg
-    // starts leave `applied` in its default state, as the blocking
-    // path always has.)
-    if (outcome.applied.result.stats.batch_bytes > 0 ||
-        outcome.applied.result.stats.items_new > 0) {
-      EXPECT_FALSE(outcome.applied.result.stats.complete)
+    // Once the Hello has arrived, every cut leaves the push leg
+    // reported cut: truncated mid-stream, or never started because the
+    // pull died first (a dead leg ends the contact), in which case it
+    // moved nothing and carries the pull's link error.
+    const repl::SyncStats& applied = outcome.applied.result.stats;
+    if (cut > 0) {
+      EXPECT_TRUE(outcome.applied.transport_failed) << "cut=" << cut;
+      EXPECT_FALSE(applied.complete) << "cut=" << cut;
+    }
+    if (outcome.served.transport_failed) {
+      EXPECT_EQ(applied.request_bytes + applied.batch_bytes, 0u)
+          << "cut=" << cut;
+      EXPECT_EQ(outcome.applied.error, outcome.served.error)
           << "cut=" << cut;
     }
     // Knowledge is never learned from an incomplete push.

@@ -444,36 +444,31 @@ TEST(Recovery, PruneKeepsConfiguredGenerationCount) {
   EXPECT_EQ(recovered_digest(env), state_digest(replica));
 }
 
-TEST(Recovery, LegacyLayoutMigratesOnAttach) {
-  // A pre-generation state directory (checkpoint.bin + wal.log) must
-  // recover unchanged and convert to the manifest layout on the first
-  // attach, byte-preserving the checkpoint and the WAL's valid prefix.
+TEST(Recovery, PreGenerationDirectoryIsRefused) {
+  // A directory a pre-generation build wrote (checkpoint.bin + wal.log,
+  // no MANIFEST) is not read. recover() must refuse it by name rather
+  // than return nullopt, which would start a fresh node over that state.
   MemEnv env;
   Replica replica = make_replica(1, 5);
-  env.write_file_durable(kCheckpointFile, encode_checkpoint(1, replica));
-  const Item& a = replica.create(to(5), {'a'});
-  std::vector<std::uint8_t> wal = encode_wal_header(1);
-  const auto record = encode_wal_record(encode_local_put(a));
-  wal.insert(wal.end(), record.begin(), record.end());
-  env.append(kWalFile, wal.data(), wal.size());
-  env.sync(kWalFile);
+  env.write_file_durable("checkpoint.bin", encode_checkpoint(1, replica));
+  const std::vector<std::uint8_t> wal = encode_wal_header(1);
+  env.append("wal.log", wal.data(), wal.size());
+  env.sync("wal.log");
 
-  auto recovered = recover(env);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->stats.wal_records_replayed, 1u);
-  ASSERT_EQ(state_digest(recovered->replica), state_digest(replica));
-
-  Durability durability(env);
-  durability.attach(recovered->replica);
-  EXPECT_TRUE(env.exists(kManifestFile));
-  EXPECT_TRUE(env.exists(checkpoint_file(1)));
-  EXPECT_TRUE(env.exists(wal_file(1)));
-  EXPECT_FALSE(env.exists(kCheckpointFile));
-  EXPECT_FALSE(env.exists(kWalFile));
-
-  // Logging resumes into the migrated segment under the same contract.
-  recovered->replica.create(to(5), {'b'});
-  EXPECT_EQ(recovered_digest(env), state_digest(recovered->replica));
+  try {
+    (void)recover(env);
+    FAIL() << "a pre-generation directory must be refused";
+  } catch (const ContractViolation& refusal) {
+    EXPECT_NE(std::string(refusal.what()).find("pre-generation"),
+              std::string::npos)
+        << refusal.what();
+    EXPECT_NE(std::string(refusal.what()).find("checkpoint.bin"),
+              std::string::npos)
+        << refusal.what();
+  }
+  // Nothing was written over the old state.
+  EXPECT_FALSE(env.exists(kManifestFile));
+  EXPECT_TRUE(env.exists("checkpoint.bin"));
 }
 
 TEST(Recovery, CorruptManifestIsRejected) {

@@ -154,7 +154,7 @@ TEST_P(ConsistencyPropertyTest, KnowledgeSoundnessUnderEviction) {
   std::vector<Replica> replicas;
   for (std::size_t i = 0; i < kReplicas; ++i) {
     replicas.emplace_back(ReplicaId(i + 1), random_address_filter(rng),
-                          ItemStore::Config{2, EvictionOrder::Fifo});
+                          ItemStore::Config{2});
   }
 
   class RelayEverything : public ForwardingPolicy {

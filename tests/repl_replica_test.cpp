@@ -138,7 +138,7 @@ TEST(Replica, ApplyRemoteCarriesTransientState) {
 
 TEST(Replica, RelayEvictionForgetsKnowledge) {
   Replica dst(ReplicaId(2), Filter::addresses({HostId(9)}),
-              ItemStore::Config{1, EvictionOrder::Fifo});
+              ItemStore::Config{1});
   Replica src = make_replica(1, 5);
   const Item& m1 = src.create(to(7), {});  // relay at dst
   const Item& m2 = src.create(to(8), {});  // relay at dst
@@ -169,7 +169,7 @@ TEST(Replica, SetFilterDeliversNewlyMatchingRelayItems) {
 
 TEST(Replica, SetFilterShrinkMakesItemsEvictableAgain) {
   Replica dst(ReplicaId(2), Filter::addresses({HostId(9)}),
-              ItemStore::Config{0, EvictionOrder::Fifo});
+              ItemStore::Config{0});
   Replica src = make_replica(1, 5);
   const Item& m = src.create(to(9), {});
   std::vector<Item> evicted;

@@ -193,8 +193,7 @@ TEST_P(BatchWalkPropertyTest, WalkPlusKnowsEqualsArrivalOrderScan) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 11);
   const ItemStore::Config config{
       rng.chance(0.5) ? std::optional<std::size_t>(6 + rng.below(6))
-                      : std::nullopt,
-      rng.chance(0.5) ? EvictionOrder::Fifo : EvictionOrder::Lifo};
+                      : std::nullopt};
   auto store = std::make_unique<ItemStore>(config);
   Knowledge known;
   std::uint64_t next_id = 1;

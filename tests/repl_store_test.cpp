@@ -69,7 +69,7 @@ TEST(ItemStore, RePutMovesToBackOfOrder) {
 }
 
 TEST(ItemStore, FifoEvictionOfRelayItems) {
-  ItemStore store(ItemStore::Config{2, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{2});
   store.put(item(1), false, false);
   store.put(item(2), false, false);
   auto evicted = store.put(item(3), false, false);
@@ -80,18 +80,8 @@ TEST(ItemStore, FifoEvictionOfRelayItems) {
   EXPECT_TRUE(store.contains(ItemId(3)));
 }
 
-TEST(ItemStore, LifoEviction) {
-  ItemStore store(ItemStore::Config{1, EvictionOrder::Lifo});
-  store.put(item(1), false, false);
-  auto evicted = store.put(item(2), false, false);
-  ASSERT_EQ(evicted.size(), 1u);
-  // LIFO: the newest evictable entry goes (the incoming one).
-  EXPECT_EQ(evicted[0].id(), ItemId(2));
-  EXPECT_TRUE(store.contains(ItemId(1)));
-}
-
 TEST(ItemStore, InFilterItemsAreNeverEvicted) {
-  ItemStore store(ItemStore::Config{1, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{1});
   store.put(item(1), /*in_filter=*/true, false);
   store.put(item(2), /*in_filter=*/true, false);
   auto evicted = store.put(item(3), false, false);
@@ -100,7 +90,7 @@ TEST(ItemStore, InFilterItemsAreNeverEvicted) {
 }
 
 TEST(ItemStore, LocalOriginItemsAreNeverEvicted) {
-  ItemStore store(ItemStore::Config{1, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{1});
   store.put(item(1), false, /*local_origin=*/true);
   store.put(item(2), false, /*local_origin=*/true);
   auto evicted = store.put(item(3), false, false);
@@ -109,7 +99,7 @@ TEST(ItemStore, LocalOriginItemsAreNeverEvicted) {
 }
 
 TEST(ItemStore, ZeroCapacityDropsEveryRelayItem) {
-  ItemStore store(ItemStore::Config{0, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{0});
   auto evicted = store.put(item(1), false, false);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].id(), ItemId(1));
@@ -143,7 +133,7 @@ TEST(ItemStore, RefilterFlagsAndReturnsNewMatches) {
 }
 
 TEST(ItemStore, RefilterCanTriggerEviction) {
-  ItemStore store(ItemStore::Config{0, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{0});
   store.put(item(1), /*in_filter=*/true, false);
   std::vector<Item> evicted;
   store.refilter([](const Item&) { return false; }, evicted);
@@ -173,7 +163,7 @@ TEST(ItemStore, SetRelayCapacityLater) {
 }
 
 TEST(ItemStore, FifoEvictionSkipsInterleavedPinnedEntries) {
-  ItemStore store(ItemStore::Config{2, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{2});
   store.put(item(1), false, false);              // evictable, oldest
   store.put(item(2), /*in_filter=*/true, false); // pinned by filter
   store.put(item(3), false, /*local_origin=*/true);  // pinned by author
@@ -185,17 +175,6 @@ TEST(ItemStore, FifoEvictionSkipsInterleavedPinnedEntries) {
   EXPECT_TRUE(store.contains(ItemId(3)));
   EXPECT_TRUE(store.contains(ItemId(4)));
   EXPECT_TRUE(store.contains(ItemId(5)));
-}
-
-TEST(ItemStore, LifoEvictionSkipsInterleavedPinnedEntries) {
-  ItemStore store(ItemStore::Config{1, EvictionOrder::Lifo});
-  store.put(item(1), false, false);              // evictable
-  store.put(item(2), /*in_filter=*/true, false); // pinned, newest so far
-  auto evicted = store.put(item(3), false, false);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].id(), ItemId(3));  // newest *evictable*, not 2
-  EXPECT_TRUE(store.contains(ItemId(1)));
-  EXPECT_TRUE(store.contains(ItemId(2)));
 }
 
 TEST(ItemStore, CountersStayConsistentAcrossMutations) {
@@ -255,7 +234,7 @@ TEST(ItemStore, SupersedeRefreshesDestIndexAndCounters) {
 }
 
 TEST(ItemStore, SupersedeDropsTransientAndDoesNotEvict) {
-  ItemStore store(ItemStore::Config{1, EvictionOrder::Fifo});
+  ItemStore store(ItemStore::Config{1});
   store.put(item(1), /*in_filter=*/true, false);
   store.put(item(2), false, false);  // the one evictable copy
   store.transient_mutable(ItemId(1))->set_int("ttl", 4);
@@ -380,7 +359,7 @@ TEST(ItemStore, CopyIndexesOnlyItsOwnEntries) {
   };
 
   auto original = std::make_unique<ItemStore>(
-      ItemStore::Config{4, EvictionOrder::Fifo});
+      ItemStore::Config{4});
   original->put(item(1, /*dest=*/7), /*in_filter=*/true, false);
   original->put(item(2, /*dest=*/7), /*in_filter=*/false, false);
   ItemStore copy(*original);

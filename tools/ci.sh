@@ -129,6 +129,8 @@ run_check_stage() {
 # has to fail an invariant probe, reproduce byte-identically and
 # shrink small (expect_caught, tools/e2e_lib.sh). Guards each probe
 # against silently degrading into a no-op:
+#   learn-truncated        an incomplete sync still merges the source's
+#                          knowledge; knowledge-soundness must fire
 #   skip-fsync             the WAL acks records it never fsyncs; the
 #                          crash probe must see state forgotten
 #   ack-before-fsync       fsync failures are swallowed; under disk
@@ -141,7 +143,10 @@ run_check_stage() {
 #   retry-forgets-progress re-dials re-count applied items; the
 #                          monotone-progress / at-most-once probes
 #                          must fire
+# Each row runs ten seeds: one fixed replay seed catches a bug only as
+# long as the schedule it draws stays the same.
 ORACLE_PROOFS=(
+  "learn-truncated --seed 1 --runs 10"
   "skip-fsync --seed 1 --runs 10 --crash-rate 0.3"
   "ack-before-fsync --seed 1 --runs 10 --crash-rate 0.2 --disk-fault-rate 0.05"
   "skip-limit-check --seed 7 --runs 10 --adversary-rate 0.5"
@@ -151,8 +156,15 @@ ORACLE_PROOFS=(
 )
 
 run_oracle_proofs() {
-  local proof
+  local proof bug bugs listed=" ${ORACLE_PROOFS[*]%% *} "
   CLI="$ROOT/build-ci/$1/tools/pfrdtn"
+  # Every bug `pfrdtn --help` lists for --inject-bug needs a row above.
+  bugs="$("$CLI" --help 2>&1 | sed -n 's/.*--inject-bug \([^ ]*\) .*/\1/p')"
+  [ -n "$bugs" ] || fail "pfrdtn --help lists no --inject-bug values"
+  for bug in ${bugs//|/ }; do
+    [[ "$listed" == *" $bug "* ]] ||
+      fail "--inject-bug $bug has no ORACLE_PROOFS row in tools/ci.sh"
+  done
   for proof in "${ORACLE_PROOFS[@]}"; do
     echo "=== [$1] check: ${proof%% *} bug is caught ==="
     expect_caught $proof  # unquoted: the row splits into BUG FLAGS...
