@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -64,7 +65,9 @@ std::string peer_description_of(int fd) {
 TcpConnection::TcpConnection(int fd, TcpOptions options)
     : fd_(fd),
       options_(options),
-      started_(std::chrono::steady_clock::now()) {
+      started_(std::chrono::steady_clock::now()),
+      rx_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          kTcpReceiveBufferBytes)) {
   PFRDTN_REQUIRE(fd_ >= 0);
   set_io_timeouts(fd_, options);
   sockaddr_in addr{};
@@ -148,8 +151,18 @@ void TcpConnection::read(std::uint8_t* data, std::size_t size) {
   if (fd_ < 0) throw TransportError("tcp: read on closed connection");
   std::size_t got = 0;
   while (got < size) {
+    if (rx_begin_ == rx_end_) refill();
+    const std::size_t n = std::min(size - got, rx_end_ - rx_begin_);
+    std::memcpy(data + got, rx_.get() + rx_begin_, n);
+    rx_begin_ += n;
+    got += n;
+  }
+}
+
+void TcpConnection::refill() {
+  for (;;) {
     wait_ready(POLLIN, "read");
-    const ssize_t n = ::recv(fd_, data + got, size - got, 0);
+    const ssize_t n = ::recv(fd_, rx_.get(), kTcpReceiveBufferBytes, 0);
     if (n == 0)
       throw TransportError("tcp: connection closed by peer mid-read");
     if (n < 0) {
@@ -158,8 +171,10 @@ void TcpConnection::read(std::uint8_t* data, std::size_t size) {
         throw TransportError("tcp: read timed out");
       fail("tcp: read failed");
     }
-    got += static_cast<std::size_t>(n);
-    bytes_moved_ += static_cast<std::size_t>(n);
+    rx_begin_ = 0;
+    rx_end_ = static_cast<std::size_t>(n);
+    bytes_moved_ += rx_end_;
+    return;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "net/transport.hpp"
@@ -47,7 +48,15 @@ void set_tcp_nodelay(int fd);
 /// "ip:port" of the remote endpoint of a connected socket.
 std::string peer_description_of(int fd);
 
-/// An established TCP connection (takes ownership of the fd).
+/// Receive buffer of each TcpConnection. A frame header and its
+/// payload usually arrive in one segment; reading them through this
+/// buffer takes one poll+recv per refill instead of one per read().
+inline constexpr std::size_t kTcpReceiveBufferBytes = 64u << 10;
+
+/// An established TCP connection (takes ownership of the fd). Reads
+/// are served from a kTcpReceiveBufferBytes buffer that one poll+recv
+/// refills when it runs dry; the timeout, deadline and progress checks
+/// run before every refill.
 class TcpConnection : public Connection {
  public:
   explicit TcpConnection(int fd, TcpOptions options = {});
@@ -70,12 +79,18 @@ class TcpConnection : public Connection {
   /// AND the session deadline; also enforces the minimum-progress rate.
   /// `op` names the operation for error messages ("read"/"write").
   void wait_ready(short events, const char* op);
+  /// Wait for input and receive what the kernel holds, up to a full
+  /// buffer. Only called once every buffered byte has been read.
+  void refill();
 
   int fd_;
   std::string peer_;
   TcpOptions options_;
   std::chrono::steady_clock::time_point started_;
   std::size_t bytes_moved_ = 0;
+  std::unique_ptr<std::uint8_t[]> rx_;
+  std::size_t rx_begin_ = 0;  ///< next unread byte in rx_
+  std::size_t rx_end_ = 0;    ///< one past the last received byte
 };
 
 /// Listening socket. Port 0 binds an ephemeral port; port() reports

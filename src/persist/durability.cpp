@@ -8,53 +8,35 @@
 
 namespace pfrdtn::persist {
 
-namespace {
-
-std::vector<std::uint8_t> encode_item_record(WalRecordKind kind,
-                                             const repl::Item& item) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(kind));
+void encode_local_put(ByteWriter& w, const repl::Item& item) {
+  w.u8(static_cast<std::uint8_t>(WalRecordKind::LocalPut));
   item.serialize(w);
-  return w.take();
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_local_put(const repl::Item& item) {
-  return encode_item_record(WalRecordKind::LocalPut, item);
+void encode_apply_remote(ByteWriter& w, const repl::Item& item) {
+  w.u8(static_cast<std::uint8_t>(WalRecordKind::ApplyRemote));
+  item.serialize(w);
 }
 
-std::vector<std::uint8_t> encode_apply_remote(const repl::Item& item) {
-  return encode_item_record(WalRecordKind::ApplyRemote, item);
-}
-
-std::vector<std::uint8_t> encode_set_filter(const repl::Filter& filter) {
-  ByteWriter w;
+void encode_set_filter(ByteWriter& w, const repl::Filter& filter) {
   w.u8(static_cast<std::uint8_t>(WalRecordKind::SetFilter));
   filter.serialize(w);
-  return w.take();
 }
 
-std::vector<std::uint8_t> encode_discard_relay(ItemId id) {
-  ByteWriter w;
+void encode_discard_relay(ByteWriter& w, ItemId id) {
   w.u8(static_cast<std::uint8_t>(WalRecordKind::DiscardRelay));
   w.uvarint(id.value());
-  return w.take();
 }
 
-std::vector<std::uint8_t> encode_learn(
-    const repl::Knowledge& knowledge) {
-  ByteWriter w;
+void encode_learn(ByteWriter& w, const repl::Knowledge& knowledge) {
   w.u8(static_cast<std::uint8_t>(WalRecordKind::Learn));
   // Exact codec: replay must merge the same fragment structure the
   // live replica merged, not the wire codec's refolded approximation.
   knowledge.serialize_exact(w);
-  return w.take();
 }
 
-std::vector<std::uint8_t> encode_policy_state(
-    ItemId id, const std::map<std::string, std::string>& all) {
-  ByteWriter w;
+void encode_policy_state(ByteWriter& w, ItemId id,
+                         const std::map<std::string, std::string>& all) {
   w.u8(static_cast<std::uint8_t>(WalRecordKind::PolicyState));
   w.uvarint(id.value());
   w.uvarint(all.size());
@@ -62,14 +44,11 @@ std::vector<std::uint8_t> encode_policy_state(
     w.str(key);
     w.str(value);
   }
-  return w.take();
 }
 
-std::vector<std::uint8_t> encode_delivered(ItemId id) {
-  ByteWriter w;
+void encode_delivered(ByteWriter& w, ItemId id) {
   w.u8(static_cast<std::uint8_t>(WalRecordKind::Delivered));
   w.uvarint(id.value());
-  return w.take();
 }
 
 namespace {
@@ -464,7 +443,8 @@ void Durability::prune_generations() {
   }
 }
 
-void Durability::log(std::vector<std::uint8_t> payload) {
+template <typename Encode>
+void Durability::log(const Encode& encode) {
   PFRDTN_REQUIRE(replica_ != nullptr);
   if (degraded_) {
     // Nothing may be acknowledged after a hard fault: a degraded
@@ -485,8 +465,10 @@ void Durability::log(std::vector<std::uint8_t> payload) {
       throw;
     }
   }
+  record_.clear();
+  encode(record_);
   try {
-    wal_.append(payload);
+    wal_.append(record_.bytes());
   } catch (const StorageError& err) {
     degrade(err);
     throw;
@@ -515,7 +497,7 @@ void Durability::note_delivered(ItemId id) {
   if (delivered_.count(id) > 0) return;  // already on record
   // Write-ahead like every other hook: a roll pending in log() snapshots
   // delivered_, so the id may join it only once its record is durable.
-  log(encode_delivered(id));
+  log([&](ByteWriter& w) { encode_delivered(w, id); });
   delivered_.insert(id);
 }
 
@@ -534,23 +516,23 @@ DurabilityCounters Durability::counters() const {
 }
 
 void Durability::on_local_put(const repl::Item& stored) {
-  log(encode_local_put(stored));
+  log([&](ByteWriter& w) { encode_local_put(w, stored); });
 }
 
 void Durability::on_apply_remote(const repl::Item& incoming) {
-  log(encode_apply_remote(incoming));
+  log([&](ByteWriter& w) { encode_apply_remote(w, incoming); });
 }
 
 void Durability::on_set_filter(const repl::Filter& filter) {
-  log(encode_set_filter(filter));
+  log([&](ByteWriter& w) { encode_set_filter(w, filter); });
 }
 
 void Durability::on_discard_relay(ItemId id) {
-  log(encode_discard_relay(id));
+  log([&](ByteWriter& w) { encode_discard_relay(w, id); });
 }
 
 void Durability::on_learn(const repl::Knowledge& source_knowledge) {
-  log(encode_learn(source_knowledge));
+  log([&](ByteWriter& w) { encode_learn(w, source_knowledge); });
 }
 
 void Durability::on_policy_state(
@@ -559,7 +541,7 @@ void Durability::on_policy_state(
   // path, which must keep working while degraded — drop the record
   // instead of refusing (it is re-derived on the next contact).
   if (degraded_) return;
-  log(encode_policy_state(id, all));
+  log([&](ByteWriter& w) { encode_policy_state(w, id, all); });
 }
 
 std::optional<RecoveredReplica> recover(StorageEnv& env) {

@@ -56,6 +56,7 @@
 #include "persist/manifest.hpp"
 #include "persist/wal.hpp"
 #include "repl/replica.hpp"
+#include "util/byte_buffer.hpp"
 #include "util/storage_error.hpp"
 
 namespace pfrdtn::persist {
@@ -78,14 +79,16 @@ enum class WalRecordKind : std::uint8_t {
   Delivered = 7,    ///< ItemId
 };
 
-std::vector<std::uint8_t> encode_local_put(const repl::Item& item);
-std::vector<std::uint8_t> encode_apply_remote(const repl::Item& item);
-std::vector<std::uint8_t> encode_set_filter(const repl::Filter& filter);
-std::vector<std::uint8_t> encode_discard_relay(ItemId id);
-std::vector<std::uint8_t> encode_learn(const repl::Knowledge& knowledge);
-std::vector<std::uint8_t> encode_policy_state(
-    ItemId id, const std::map<std::string, std::string>& all);
-std::vector<std::uint8_t> encode_delivered(ItemId id);
+/// One encoder per record kind: each appends the record's payload to
+/// `w`. Durability encodes every record into one writer it reuses.
+void encode_local_put(ByteWriter& w, const repl::Item& item);
+void encode_apply_remote(ByteWriter& w, const repl::Item& item);
+void encode_set_filter(ByteWriter& w, const repl::Filter& filter);
+void encode_discard_relay(ByteWriter& w, ItemId id);
+void encode_learn(ByteWriter& w, const repl::Knowledge& knowledge);
+void encode_policy_state(ByteWriter& w, ItemId id,
+                         const std::map<std::string, std::string>& all);
+void encode_delivered(ByteWriter& w, ItemId id);
 
 /// Replay one record against `replica`. Throws ContractViolation on a
 /// malformed payload (a CRC-valid record can still be foreign bytes in
@@ -205,7 +208,10 @@ class Durability final : public repl::ReplicaMutationSink {
       const std::map<std::string, std::string>& all) override;
 
  private:
-  void log(std::vector<std::uint8_t> payload);
+  /// Encode one record into record_ with `encode(ByteWriter&)` and
+  /// append it to the WAL, ahead of the mutation it describes.
+  template <typename Encode>
+  void log(const Encode& encode);
   void checkpoint_now_impl();
   void prune_generations();
   /// Flip to degraded read-only mode (idempotent).
@@ -216,6 +222,7 @@ class Durability final : public repl::ReplicaMutationSink {
   StorageEnv& env_;
   DurabilityOptions options_;
   WalWriter wal_;
+  ByteWriter record_;  ///< payload of the record log() is writing
   repl::Replica* replica_ = nullptr;
   std::set<ItemId> delivered_;
   std::vector<std::uint64_t> epochs_;  ///< manifest mirror, ascending

@@ -31,6 +31,18 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
+/// Frame `payload` as one on-disk record, replacing the contents of
+/// `record`. A reused `record` keeps its capacity, so framing
+/// allocates nothing once the buffer is warm.
+void frame_wal_record(const std::vector<std::uint8_t>& payload,
+                      std::vector<std::uint8_t>& record) {
+  PFRDTN_REQUIRE(payload.size() <= kMaxWalRecord);
+  record.clear();
+  put_u32(record, static_cast<std::uint32_t>(payload.size()));
+  put_u32(record, crc32(payload));
+  record.insert(record.end(), payload.begin(), payload.end());
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_wal_header(std::uint64_t epoch) {
@@ -44,13 +56,9 @@ std::vector<std::uint8_t> encode_wal_header(std::uint64_t epoch) {
 
 std::vector<std::uint8_t> encode_wal_record(
     const std::vector<std::uint8_t>& payload) {
-  PFRDTN_REQUIRE(payload.size() <= kMaxWalRecord);
-  std::vector<std::uint8_t> out;
-  out.reserve(kWalRecordHeaderSize + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  std::vector<std::uint8_t> record;
+  frame_wal_record(payload, record);
+  return record;
 }
 
 WalScan scan_wal(const std::vector<std::uint8_t>& bytes) {
@@ -110,10 +118,10 @@ void WalWriter::reset(std::uint64_t epoch) {
 }
 
 void WalWriter::append(const std::vector<std::uint8_t>& payload) {
-  const auto record = encode_wal_record(payload);
-  env_->append(name_, record.data(), record.size());
-  log_bytes_ += record.size();
-  bytes_appended_ += record.size();
+  frame_wal_record(payload, record_);
+  env_->append(name_, record_.data(), record_.size());
+  log_bytes_ += record_.size();
+  bytes_appended_ += record_.size();
   ++records_appended_;
   if (++pending_ >= sync_every_records_) flush();
 }

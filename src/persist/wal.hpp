@@ -83,7 +83,8 @@ class WalWriter {
   /// Start a fresh log for `epoch` (truncates any existing content).
   void reset(std::uint64_t epoch);
 
-  /// Append one record; fsyncs when the batch quota is reached.
+  /// Append one record with a single env append; fsyncs when the
+  /// batch quota is reached.
   void append(const std::vector<std::uint8_t>& payload);
 
   /// Force-fsync pending appends (end of a sync session, shutdown).
@@ -111,6 +112,7 @@ class WalWriter {
   std::size_t bytes_appended_ = 0;
   std::size_t pending_ = 0;
   std::size_t syncs_ = 0;
+  std::vector<std::uint8_t> record_;  ///< reused framing buffer
 };
 
 }  // namespace pfrdtn::persist

@@ -59,6 +59,10 @@ class ByteWriter {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
   }
 
+  /// Drop the bytes but keep the capacity, so a reused writer stops
+  /// allocating once it has held its largest encoding.
+  void clear() { bytes_.clear(); }
+
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
     return bytes_;

@@ -74,6 +74,82 @@ TEST(Tcp, EofMidFrameIsTransportError) {
   server.join();
 }
 
+/// Payload of the i-th test frame: distinct per frame, so order shows.
+std::vector<std::uint8_t> numbered_payload(std::size_t i) {
+  const std::string text = "frame-" + std::to_string(i);
+  return {text.begin(), text.end()};
+}
+
+TEST(Tcp, BurstOfFramesDecodesInOrderThenEof) {
+  constexpr std::size_t kFrames = 300;
+  TcpListener listener(0);
+  std::thread server([&] {
+    auto connection = listener.accept();
+    std::vector<std::uint8_t> burst;
+    SessionBudget budget;
+    BufferFrameSink sink(burst, budget);
+    for (std::size_t i = 0; i < kFrames; ++i)
+      sink.send(repl::SyncFrame::BatchItem, numbered_payload(i));
+    connection->write(burst.data(), burst.size());  // one send()
+    connection->close();
+  });
+  auto client = tcp_connect("127.0.0.1", listener.port());
+  SessionBudget budget;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Frame frame = read_frame(*client, budget);
+    EXPECT_EQ(frame.type, repl::SyncFrame::BatchItem);
+    ASSERT_EQ(frame.payload, numbered_payload(i)) << "frame " << i;
+  }
+  try {
+    read_frame(*client, budget);
+    FAIL() << "read past the peer's close did not throw";
+  } catch (const TransportError& eof) {
+    EXPECT_NE(std::string(eof.what()).find("closed by peer"),
+              std::string::npos)
+        << eof.what();
+  }
+  server.join();
+}
+
+TEST(Tcp, FrameSentOneBytePerSendDecodes) {
+  TcpListener listener(0);
+  std::thread server([&] {
+    auto connection = listener.accept();
+    std::vector<std::uint8_t> bytes;
+    SessionBudget budget;
+    BufferFrameSink(bytes, budget)
+        .send(repl::SyncFrame::BatchItem, numbered_payload(7));
+    for (const std::uint8_t byte : bytes) {
+      connection->write(&byte, 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  auto client = tcp_connect("127.0.0.1", listener.port());
+  SessionBudget budget;
+  const Frame frame = read_frame(*client, budget);
+  EXPECT_EQ(frame.type, repl::SyncFrame::BatchItem);
+  EXPECT_EQ(frame.payload, numbered_payload(7));
+  server.join();
+}
+
+TEST(Tcp, FrameLargerThanTheReceiveBufferDecodes) {
+  std::vector<std::uint8_t> payload(3 * kTcpReceiveBufferBytes + 5);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 31 + i / 251);
+  TcpListener listener(0);
+  std::thread server([&] {
+    auto connection = listener.accept();
+    SessionBudget budget;
+    write_frame(*connection, repl::SyncFrame::BatchItem, payload, budget);
+  });
+  auto client = tcp_connect("127.0.0.1", listener.port());
+  SessionBudget budget;
+  const Frame frame = read_frame(*client, budget);
+  EXPECT_EQ(frame.type, repl::SyncFrame::BatchItem);
+  EXPECT_EQ(frame.payload, payload);
+  server.join();
+}
+
 /// Full session over real sockets: client pushes a filter-matching
 /// item into the serving replica.
 TEST(TcpSession, PushDeliversToServer) {

@@ -231,19 +231,49 @@ TEST(Checkpoint, DeliveredLedgerRejectsUnsortedIds) {
 TEST(CheckpointGolden, WalRecordEncoders) {
   const Replica r = make_rich_replica();
   const repl::ItemStore::Entry& entry = first_entry(r);
-  std::vector<std::uint8_t> all;
-  for (const auto& payload :
-       {encode_local_put(entry.item), encode_apply_remote(entry.item),
-        encode_set_filter(r.filter()),
-        encode_discard_relay(entry.item.id()),
-        encode_learn(r.knowledge()),
-        encode_policy_state(entry.item.id(),
-                            {{"hop", "3"}, {"seen", "1,2"}})}) {
-    all.insert(all.end(), payload.begin(), payload.end());
-  }
+  ByteWriter w;
+  encode_local_put(w, entry.item);
+  encode_apply_remote(w, entry.item);
+  encode_set_filter(w, r.filter());
+  encode_discard_relay(w, entry.item.id());
+  encode_learn(w, r.knowledge());
+  encode_policy_state(w, entry.item.id(), {{"hop", "3"}, {"seen", "1,2"}});
+  const std::vector<std::uint8_t> all = w.take();
   EXPECT_EQ(hex64(fnv1a64(all)), "dcc9a57c63856d34")
       << "WAL record payload bytes changed; new digest is "
       << hex64(fnv1a64(all));
+}
+
+/// The files a durable session leaves on disk, byte for byte: two WAL
+/// segments as WalWriter frames them (header, then length, CRC and
+/// payload per record), the checkpoint that rolled the first one, and
+/// the MANIFEST naming both generations.
+TEST(CheckpointGolden, DurableSessionFiles) {
+  MemEnv env;
+  Replica r(ReplicaId(3), Filter::addresses({HostId(5)}));
+  Durability durability(env);
+  durability.attach(r);
+  r.create(to(5), {'a'});
+  Replica peer(ReplicaId(4), Filter::addresses({HostId(5)}));
+  const Item& remote = peer.create(to(5), {'r'});
+  std::vector<Item> evicted;
+  r.apply_remote(remote, evicted);
+  r.learn(peer.knowledge());
+  durability.note_delivered(remote.id());
+  durability.checkpoint_now();
+  r.create(to(5), {'b'});
+  const std::pair<const char*, const char*> pins[] = {
+      {"wal.1.log", "8cb8fea8808c3fff"},
+      {"wal.2.log", "f10a2f46094792fc"},
+      {"checkpoint.2.bin", "949a4915d2ac501d"},
+      {"MANIFEST", "952daf3fd73a64b3"},
+  };
+  for (const auto& [file, digest] : pins) {
+    const auto bytes = env.read_file(file);
+    EXPECT_EQ(hex64(fnv1a64(bytes)), digest)
+        << file << " bytes changed; new digest is "
+        << hex64(fnv1a64(bytes));
+  }
 }
 
 }  // namespace

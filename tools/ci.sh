@@ -60,6 +60,31 @@ run_perfbench_selftest() {
     python3 perfbench/test_perfbench.py)
 }
 
+# Work, not time: traced perfbench runs must report exactly the per-op
+# counts pinned in tools/work_ledger.tsv (WAL records, fsyncs, bytes
+# appended and sent, items applied, syncs). Counts repeat exactly where
+# timings spread, so a speed-up that adds or drops work fails here. It
+# reads perfbench's result line from outside and reuses the Release
+# build of run_perfbench_selftest under build-ci/perfbench.
+run_work_ledger() {
+  echo "=== perfbench work ledger ==="
+  local workload seed metric want got result run=""
+  while IFS=$'\t' read -r workload seed metric want; do
+    [[ -z "$workload" || "$workload" == \#* ]] && continue
+    if [[ "$run" != "$workload $seed" ]]; then
+      run="$workload $seed"
+      result="$(cd "$ROOT" && CARGO_TARGET_DIR="$ROOT/build-ci" \
+        python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+        --seconds 1 --trace 1 < /dev/null | tail -1)"
+    fi
+    got="$(sed -n "s/.*\"$metric\": {\"value\": \([^,}]*\).*/\1/p" \
+      <<< "$result")"
+    [[ "$got" == "$want" ]] ||
+      fail "work ledger: $workload seed $seed $metric is ${got:-missing}, want $want"
+  done < "$ROOT/tools/work_ledger.tsv"
+  echo "work ledger: every count matches"
+}
+
 # The check harness must be a pure function of its seed: replay the
 # same fixed-seed corpus twice and require byte-identical summaries.
 # This is what makes the printed replay commands, the shrinker, and
@@ -159,7 +184,7 @@ run_oracle_proofs() {
   local proof bug bugs listed=" ${ORACLE_PROOFS[*]%% *} "
   CLI="$ROOT/build-ci/$1/tools/pfrdtn"
   # Every bug `pfrdtn --help` lists for --inject-bug needs a row above.
-  bugs="$("$CLI" --help 2>&1 | sed -n 's/.*--inject-bug \([^ ]*\) .*/\1/p')"
+  bugs="$("$CLI" --help | sed -n 's/.*--inject-bug \([^ ]*\) .*/\1/p')"
   [ -n "$bugs" ] || fail "pfrdtn --help lists no --inject-bug values"
   for bug in ${bugs//|/ }; do
     [[ "$listed" == *" $bug "* ]] ||
@@ -187,6 +212,7 @@ run_suite tsan -DPFRDTN_SANITIZE=thread
 
 run_bench_smoke
 run_perfbench_selftest
+run_work_ledger
 run_check_replay
 run_check_stage plain 400
 # Sanitized execution is ~10x slower; fewer schedules, same coverage

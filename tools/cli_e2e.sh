@@ -143,7 +143,8 @@ value_for() {
 }
 
 # The help text's pairs: every flag token under each command's line.
-"$CLI" --help 2> help.txt || fail "--help exited non-zero"
+"$CLI" --help > help.txt 2> help.err || fail "--help exited non-zero"
+[ ! -s help.err ] || fail "--help wrote to stderr: $(head -1 help.err)"
 awk '/^commands:/ { on = 1; next }
      on && /^$/ { on = 0 }
      on && /^  [a-z]/ { cmd = $1 }

@@ -65,8 +65,9 @@ namespace {
 
 using namespace pfrdtn;
 
-/// Print `error` (if any) and the generated usage text to stderr, then
-/// exit: 0 for a plain help request, 2 for a usage error.
+/// Print the generated usage text and exit. A plain help request
+/// prints it to stdout and exits 0; a usage error prints `error` and
+/// the text to stderr and exits 2.
 [[noreturn]] void usage(const std::string& error = "");
 
 /// One command-line flag, declared once.
@@ -1241,7 +1242,7 @@ void usage(const std::string& error) {
   for (const auto& names :
        {dtn::known_policies(), dtn::baseline_policies()})
     for (const std::string& name : names) text += " " + name;
-  std::fputs((text + "\n").c_str(), stderr);
+  std::fputs((text + "\n").c_str(), error.empty() ? stdout : stderr);
   std::exit(error.empty() ? 0 : 2);
 }
 
