@@ -140,12 +140,12 @@ class Engine {
                            config.addresses),
           repl::ItemStore::Config{config.relay_capacity});
     }
-    // Every replica persists through the crash-simulating MemEnv;
-    // fsync-per-record, so the digest probe in apply_crash may demand
-    // that recovery reproduces the pre-crash state *exactly*. The sink
-    // is write-only (no behavior feedback), so schedules without crash
-    // events run identically to a durability-free harness.
-    dur_options_.sync_every_records = 1;
+    // Every replica persists through the crash-simulating MemEnv.
+    // Every record is fsynced before its hook returns, so the digest
+    // probe in apply_crash may demand that recovery reproduces the
+    // pre-crash state *exactly*. The sink is write-only (no behavior
+    // feedback), so schedules without crash events run identically to
+    // a durability-free harness.
     dur_options_.checkpoint_every_bytes = 4096;
     envs_.reserve(config.replicas);
     fault_envs_.reserve(config.replicas);
@@ -836,11 +836,6 @@ class Engine {
       durabilities_[i] = std::make_unique<persist::Durability>(
           env_of(i), dur_options_);
       durabilities_[i]->attach(replicas_[i]);
-      // The resumed segment may end in records whose fsync faulted:
-      // recovery replayed their visible bytes, so make them durable
-      // now (the disk is healthy) — a later crash must not un-replay
-      // state this restart has re-acknowledged.
-      durabilities_[i]->flush();
       oracle_.forgive_all(i);
       adopt_survivors(i);
       if (keep_log_) {

@@ -33,6 +33,19 @@ constexpr AttackInfo kAttacks[kChaosAttackCount] = {
     {ChaosAttack::CloseMidBatch, "close-mid-batch", false},
 };
 
+/// Replica id the chaos peer impersonates in its Hello.
+constexpr ReplicaId kChaosReplica{66600};
+
+/// How many bytes of the valid Hello frame ByteTrickle dribbles before
+/// stalling (short of a full 8-byte header + 3-byte payload, so the
+/// stall leaves the server mid-read).
+constexpr std::size_t kTrickleBytes = 6;
+
+/// Zero-length writes after the dribble: free on TCP, but each one
+/// charges per-write latency on a LoopbackLink, modelling a peer that
+/// keeps the contact open while sending nothing.
+constexpr std::size_t kTrickleStallWrites = 40;
+
 const AttackInfo& info_of(ChaosAttack attack) {
   for (const AttackInfo& info : kAttacks) {
     if (info.attack == attack) return info;
@@ -63,9 +76,8 @@ std::size_t send_header_only(Connection& connection, repl::SyncFrame type,
   return kFrameHeaderSize;
 }
 
-std::vector<std::uint8_t> hello_payload(const ChaosPeerOptions& options,
-                                        SyncMode mode) {
-  return encode_hello({options.replica, mode});
+std::vector<std::uint8_t> hello_payload(SyncMode mode) {
+  return encode_hello({kChaosReplica, mode});
 }
 
 std::vector<std::uint8_t> batch_begin_payload(ReplicaId source,
@@ -78,16 +90,16 @@ std::vector<std::uint8_t> batch_begin_payload(ReplicaId source,
 }
 
 /// A minimal but well-formed BatchItem payload.
-std::vector<std::uint8_t> tiny_item_payload(const ChaosPeerOptions& o) {
+std::vector<std::uint8_t> tiny_item_payload() {
   ByteWriter w;
-  w.uvarint(9001);                  // item id
-  w.uvarint(o.replica.value());     // version author
-  w.uvarint(1);                     // version counter
-  w.uvarint(1);                     // version revision
-  w.u8(0);                          // not deleted
-  w.uvarint(0);                     // no metadata
-  w.raw({0x68, 0x69});              // body "hi"
-  w.uvarint(0);                     // no transients
+  w.uvarint(9001);                   // item id
+  w.uvarint(kChaosReplica.value());  // version author
+  w.uvarint(1);                      // version counter
+  w.uvarint(1);                      // version revision
+  w.u8(0);                           // not deleted
+  w.uvarint(0);                      // no metadata
+  w.raw({0x68, 0x69});               // body "hi"
+  w.uvarint(0);                      // no transients
   return w.take();
 }
 
@@ -100,7 +112,7 @@ std::vector<std::uint8_t> giant_knowledge_request(
   for (std::size_t i = 1; i <= o.limits.max_knowledge_entries + 1; ++i)
     knowledge.add_exact(repl::Version{ReplicaId(7), 2 * i, 1});
   ByteWriter w;
-  w.uvarint(o.replica.value());      // target
+  w.uvarint(kChaosReplica.value());  // target
   repl::Filter::all().serialize(w);  // filter
   knowledge.serialize(w);
   w.raw({});                         // empty routing state
@@ -109,7 +121,7 @@ std::vector<std::uint8_t> giant_knowledge_request(
 
 std::vector<std::uint8_t> giant_blob_request(const ChaosPeerOptions& o) {
   ByteWriter w;
-  w.uvarint(o.replica.value());
+  w.uvarint(kChaosReplica.value());
   repl::Filter::all().serialize(w);
   repl::Knowledge().serialize(w);
   w.raw(std::vector<std::uint8_t>(o.limits.max_policy_blob_bytes + 1,
@@ -147,7 +159,7 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::OversizeRequest:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Pull));
+            hello_payload(SyncMode::Pull));
         outcome.bytes_sent += send_header_only(
             connection, repl::SyncFrame::Request,
             limits.max_request_bytes + 1);
@@ -156,10 +168,10 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::OversizeItem:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Push));
+            hello_payload(SyncMode::Push));
         outcome.bytes_sent +=
             send_frame(connection, repl::SyncFrame::BatchBegin,
-                       batch_begin_payload(options.replica, 1));
+                       batch_begin_payload(kChaosReplica, 1));
         outcome.bytes_sent += send_header_only(
             connection, repl::SyncFrame::BatchItem,
             limits.max_item_bytes + 1);
@@ -168,23 +180,23 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::LyingCountHuge:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Push));
+            hello_payload(SyncMode::Push));
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::BatchBegin,
-            batch_begin_payload(options.replica,
+            batch_begin_payload(kChaosReplica,
                                 limits.max_batch_items + 1));
         outcome.note = "announced an over-cap item count";
         break;
       case ChaosAttack::LyingCountShort: {
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Push));
+            hello_payload(SyncMode::Push));
         outcome.bytes_sent +=
             send_frame(connection, repl::SyncFrame::BatchBegin,
-                       batch_begin_payload(options.replica, 3));
+                       batch_begin_payload(kChaosReplica, 3));
         outcome.bytes_sent +=
             send_frame(connection, repl::SyncFrame::BatchItem,
-                       tiny_item_payload(options));
+                       tiny_item_payload());
         ByteWriter knowledge;
         repl::Knowledge().serialize(knowledge);
         outcome.bytes_sent += send_frame(
@@ -195,13 +207,13 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::OutOfOrderFrame:
         outcome.bytes_sent +=
             send_frame(connection, repl::SyncFrame::BatchItem,
-                       tiny_item_payload(options));
+                       tiny_item_payload());
         outcome.note = "opened with a BatchItem instead of Hello";
         break;
       case ChaosAttack::GiantKnowledge:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Pull));
+            hello_payload(SyncMode::Pull));
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Request,
             giant_knowledge_request(options));
@@ -210,7 +222,7 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::GiantPolicyBlob:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Pull));
+            hello_payload(SyncMode::Pull));
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Request,
             giant_blob_request(options));
@@ -220,7 +232,7 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
         // The slow-loris: dribble a valid Hello frame one byte at a
         // time, then keep the contact open while sending nothing.
         std::uint8_t frame[kFrameHeaderSize + 8];
-        const auto payload = hello_payload(options, SyncMode::Pull);
+        const auto payload = hello_payload(SyncMode::Pull);
         encode_frame_header(
             static_cast<std::uint8_t>(repl::SyncFrame::Hello),
             static_cast<std::uint32_t>(payload.size()), frame);
@@ -229,14 +241,14 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
              ++i)
           frame[total++] = payload[i];
         const std::size_t dribble =
-            std::min(options.trickle_bytes, total);
+            std::min(kTrickleBytes, total);
         for (std::size_t i = 0; i < dribble; ++i) {
           connection.write(&frame[i], 1);
           ++outcome.bytes_sent;
           sleep_ms(options.trickle_delay_ms);
         }
         const std::uint8_t nothing = 0;
-        for (std::size_t i = 0; i < options.trickle_stall_writes; ++i) {
+        for (std::size_t i = 0; i < kTrickleStallWrites; ++i) {
           connection.write(&nothing, 0);
           sleep_ms(options.trickle_delay_ms);
         }
@@ -255,7 +267,7 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::CloseAfterHello:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Pull));
+            hello_payload(SyncMode::Pull));
         connection.close();
         outcome.note = "closed right after Hello";
         break;
@@ -272,10 +284,10 @@ ChaosOutcome run_chaos_attack(Connection& connection, ChaosAttack attack,
       case ChaosAttack::CloseMidBatch:
         outcome.bytes_sent += send_frame(
             connection, repl::SyncFrame::Hello,
-            hello_payload(options, SyncMode::Push));
+            hello_payload(SyncMode::Push));
         outcome.bytes_sent +=
             send_frame(connection, repl::SyncFrame::BatchBegin,
-                       batch_begin_payload(options.replica, 2));
+                       batch_begin_payload(kChaosReplica, 2));
         connection.close();
         outcome.note = "closed after announcing a batch";
         break;

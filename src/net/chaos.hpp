@@ -55,18 +55,8 @@ struct ChaosPeerOptions {
   /// size their payloads just past these caps so each one targets a
   /// specific budget.
   ResourceLimits limits;
-  /// Replica id the chaos peer impersonates in its Hello.
-  ReplicaId replica{66600};
   /// Wall-clock delay between trickled bytes (TCP drives); 0 = none.
   unsigned trickle_delay_ms = 0;
-  /// How many bytes of the valid Hello frame ByteTrickle dribbles
-  /// before stalling (must stay short of a full 8-byte header + 3-byte
-  /// payload for the stall to leave the server mid-read).
-  std::size_t trickle_bytes = 6;
-  /// Zero-length writes after the dribble: free on TCP, but each one
-  /// charges per-write latency on a LoopbackLink, modelling a peer
-  /// that keeps the contact open while sending nothing.
-  std::size_t trickle_stall_writes = 40;
   /// After the script, drain replies until EOF/reset to observe the
   /// server's reaction — and to keep our own close from racing the
   /// server with an RST that discards the hostile bytes unprocessed.

@@ -52,8 +52,8 @@ struct ResourceLimits {
   std::uint32_t max_item_bytes = 4u << 20;
   std::uint32_t max_batch_end_bytes = 1u << 20;
   /// SummaryRequest: filter + digest + Bloom filter + routing blob; the
-  /// Bloom filter is tiny by construction (SummaryParams::max_bloom_bytes)
-  /// but the routing blob shares the request budget, so mirror it.
+  /// Bloom filter is tiny by construction (repl::kMaxBloomBytes) but
+  /// the routing blob shares the request budget, so mirror it.
   std::uint32_t max_summary_bytes = 1u << 20;
   /// SummaryMatch / SummaryMiss carry only the source id.
   std::uint32_t max_summary_reply_bytes = 64;

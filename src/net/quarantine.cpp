@@ -6,35 +6,15 @@
 
 namespace pfrdtn::net {
 
-void QuarantineTable::age(Entry& entry, std::uint64_t now_ms) const {
-  while (!entry.history.empty() &&
-         now_ms >= entry.history.front().at_ms +
-                       options_.history_window_ms) {
-    entry.history.pop_front();
-  }
-  if (options_.ejection_decay_ms == 0 || entry.ejections == 0) return;
-  // Quiet time since the last violation (or the last decay step)
-  // forgives past ejections one interval at a time.
-  if (now_ms <= entry.decay_from_ms) return;
-  const std::uint64_t quiet = now_ms - entry.decay_from_ms;
-  const std::uint64_t steps = quiet / options_.ejection_decay_ms;
-  if (steps == 0) return;
+void QuarantineTable::decay(Entry& entry, std::uint64_t now_ms) {
+  if (entry.ejections == 0 || now_ms <= entry.decay_from_ms) return;
+  const std::uint64_t steps =
+      (now_ms - entry.decay_from_ms) / kEjectionDecayMs;
   const std::size_t forgiven =
       std::min<std::uint64_t>(steps, entry.ejections);
   entry.ejections -= forgiven;
   entry.decay_from_ms +=
-      static_cast<std::uint64_t>(forgiven) * options_.ejection_decay_ms;
-}
-
-bool QuarantineTable::rate_trips(const Entry& entry) const {
-  if (entry.history.size() < options_.error_rate_min_outcomes)
-    return false;
-  std::size_t violations = 0;
-  for (const Outcome& outcome : entry.history)
-    if (outcome.violation) violations += 1;
-  const double rate = static_cast<double>(violations) /
-                      static_cast<double>(entry.history.size());
-  return rate >= options_.error_rate_threshold;
+      static_cast<std::uint64_t>(forgiven) * kEjectionDecayMs;
 }
 
 AdmitDecision QuarantineTable::admit(const std::string& peer,
@@ -43,17 +23,14 @@ AdmitDecision QuarantineTable::admit(const std::string& peer,
   const auto it = entries_.find(peer);
   if (it == entries_.end()) return decision;
   Entry& entry = it->second;
-  age(entry, now_ms);
+  decay(entry, now_ms);
   decision.strikes = entry.ejections;
   if (now_ms >= entry.until_ms) {
     // Window elapsed: admit. The ejection count persists (decaying
     // with quiet time) so a repeat offender escalates instead of
     // starting over.
     decision.rejections = entry.rejections;
-    if (entry.ejections == 0 && entry.consecutive == 0 &&
-        entry.history.empty()) {
-      entries_.erase(it);
-    }
+    if (forgiven(entry, now_ms)) entries_.erase(it);
     return decision;
   }
   entry.rejections += 1;
@@ -67,18 +44,10 @@ AdmitDecision QuarantineTable::admit(const std::string& peer,
 std::uint64_t QuarantineTable::punish(const std::string& peer,
                                       std::uint64_t now_ms) {
   Entry& entry = entries_[peer];
-  age(entry, now_ms);
-  entry.history.push_back({now_ms, true});
-  entry.consecutive += 1;
+  decay(entry, now_ms);
+  entry.ejections += 1;
   // An active offender earns no quiet-time forgiveness.
   entry.decay_from_ms = now_ms;
-  const bool tripped =
-      entry.consecutive >= options_.consecutive_failure_threshold ||
-      rate_trips(entry);
-  if (!tripped) return 0;
-  entry.ejections += 1;
-  entry.consecutive = 0;
-  total_ejections_ += 1;
   // min(base << (ejections-1), max), without shifting past 63 bits.
   const std::size_t doublings =
       std::min<std::size_t>(entry.ejections - 1, 40);
@@ -99,43 +68,13 @@ void QuarantineTable::reward(const std::string& peer,
                              std::uint64_t now_ms) {
   const auto it = entries_.find(peer);
   if (it == entries_.end()) return;  // clean peers stay off the books
-  Entry& entry = it->second;
-  age(entry, now_ms);
-  entry.consecutive = 0;
-  entry.history.push_back({now_ms, false});
-  const bool any_violation = std::any_of(
-      entry.history.begin(), entry.history.end(),
-      [](const Outcome& outcome) { return outcome.violation; });
-  if (entry.ejections == 0 && now_ms >= entry.until_ms &&
-      !any_violation) {
-    entries_.erase(it);
-  }
+  decay(it->second, now_ms);
+  if (forgiven(it->second, now_ms)) entries_.erase(it);
 }
 
 std::size_t QuarantineTable::strikes(const std::string& peer) const {
   const auto it = entries_.find(peer);
   return it == entries_.end() ? 0 : it->second.ejections;
-}
-
-std::size_t QuarantineTable::consecutive_failures(
-    const std::string& peer) const {
-  const auto it = entries_.find(peer);
-  return it == entries_.end() ? 0 : it->second.consecutive;
-}
-
-double QuarantineTable::error_rate(const std::string& peer,
-                                   std::uint64_t now_ms) const {
-  const auto it = entries_.find(peer);
-  if (it == entries_.end()) return 0.0;
-  std::size_t total = 0;
-  std::size_t violations = 0;
-  for (const Outcome& outcome : it->second.history) {
-    if (now_ms >= outcome.at_ms + options_.history_window_ms) continue;
-    total += 1;
-    if (outcome.violation) violations += 1;
-  }
-  if (total == 0) return 0.0;
-  return static_cast<double>(violations) / static_cast<double>(total);
 }
 
 }  // namespace pfrdtn::net

@@ -1,40 +1,26 @@
 #pragma once
 
 /// \file quarantine.hpp
-/// Adaptive peer health for `pfrdtn serve`, modeled on Envoy's outlier
-/// detection monitors: instead of a raw strike counter, each peer
-/// carries a windowed history of session outcomes and is *ejected*
-/// (quarantined) when either monitor trips —
-///
-///   - consecutive failures: N violations in a row with no clean
-///     session between them (N = consecutive_failure_threshold;
-///     the default of 1 reproduces the legacy strike-per-violation
-///     behaviour exactly, draws included);
-///   - windowed error rate: once at least error_rate_min_outcomes
-///     outcomes sit inside history_window_ms, a violation share at or
-///     above error_rate_threshold ejects even when clean sessions are
-///     interleaved — the flapping peer the consecutive monitor alone
-///     would never catch.
-///
-/// An ejected peer's reconnects are refused cheaply at accept time —
-/// before any frame is read or buffer allocated on its behalf. The
-/// ejection window is capped exponential in the peer's ejection count
-/// with jitter in [window/2, window] (util/backoff.hpp), and the
-/// ejection count itself decays: every ejection_decay_ms of quiet
-/// forgives one past ejection, so a peer that was broken last week is
-/// not pre-escalated today. Transport failures (cuts, timeouts) and
-/// transient Error-frame refusals (read-only, busy, draining) do NOT
-/// touch the table in either direction: a dying radio link and a
-/// shedding server are the normal case in a DTN, not hostility.
+/// Peer health for `pfrdtn serve`. One rule: every violation ejects
+/// (quarantines) the peer. An ejected peer's reconnects are refused
+/// cheaply at accept time — before any frame is read or buffer
+/// allocated on its behalf. The ejection window is capped exponential
+/// in the peer's ejection count with jitter in [window/2, window]
+/// (util/backoff.hpp), and the ejection count itself decays: every
+/// kEjectionDecayMs of quiet forgives one past ejection, so a peer that
+/// was broken last week is not pre-escalated today, and a fully
+/// forgiven peer leaves the table. Transport failures (cuts, timeouts)
+/// and transient Error-frame refusals (read-only, busy, draining) do
+/// NOT touch the table: a dying radio link and a shedding server are
+/// the normal case in a DTN, not hostility.
 ///
 /// Time is injected as a milliseconds-since-start counter so the table
-/// is deterministic under test; jitter comes from a seeded Rng for the
-/// same reason. The table is keyed by whatever string the caller
+/// is deterministic under test; jitter comes from a fixed-seed Rng for
+/// the same reason. The table is keyed by whatever string the caller
 /// chooses — serve uses the peer IP with the ephemeral port stripped,
 /// since the port changes on every reconnect.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 
@@ -42,29 +28,14 @@
 
 namespace pfrdtn::net {
 
+/// Quiet time that forgives one past ejection.
+inline constexpr std::uint64_t kEjectionDecayMs = 60000;
+
 struct QuarantineOptions {
   /// First ejection's backoff; doubles per further ejection.
   std::uint64_t base_backoff_ms = 1000;
   /// Backoff cap — ejections beyond the cap stop extending the window.
   std::uint64_t max_backoff_ms = 60000;
-  /// Seed for the jitter stream.
-  std::uint64_t jitter_seed = 1;
-
-  /// Consecutive-violation monitor: eject after this many violations
-  /// in a row. 1 = every violation ejects (the legacy behaviour).
-  std::size_t consecutive_failure_threshold = 1;
-  /// Error-rate monitor: violation share in the history window that
-  /// ejects, once the window holds enough outcomes to judge.
-  double error_rate_threshold = 0.5;
-  /// Minimum outcomes inside the window before the rate applies — a
-  /// single violation from a barely-seen peer is not a 100% error rate.
-  std::size_t error_rate_min_outcomes = 10;
-  /// Outcomes older than this fall out of the error-rate window.
-  std::uint64_t history_window_ms = 30000;
-  /// Every this much quiet time forgives one past ejection, so the
-  /// escalation ladder decays for peers that stay healthy. 0 disables
-  /// decay (ejection counts persist forever, as raw strikes did).
-  std::uint64_t ejection_decay_ms = 60000;
 };
 
 /// Verdict of an accept-time admission check.
@@ -78,72 +49,57 @@ struct AdmitDecision {
 class QuarantineTable {
  public:
   explicit QuarantineTable(QuarantineOptions options = {})
-      : options_(options), jitter_(options.jitter_seed) {}
+      : options_(options) {}
 
   /// Accept-time check: is `peer` currently ejected at `now_ms`?
-  /// Counts the rejection when it is. O(log peers) plus history
-  /// pruning, no allocation on the hot accept path beyond the map
-  /// lookup.
+  /// Counts the rejection when it is. O(log peers), no allocation on
+  /// the hot accept path beyond the map lookup.
   AdmitDecision admit(const std::string& peer, std::uint64_t now_ms);
 
-  /// Record a violation by `peer` at `now_ms`. When a monitor trips,
-  /// ejects the peer for min(base << (ejections-1), max) plus jitter
-  /// in [window/2, window] and returns the window length; returns 0
-  /// when the violation was recorded but no monitor tripped.
+  /// Record a violation by `peer` at `now_ms`: ejects the peer for
+  /// min(base << (ejections-1), max) jittered into [window/2, window]
+  /// and returns that window.
   std::uint64_t punish(const std::string& peer, std::uint64_t now_ms);
 
-  /// Record a cleanly completed session: resets the consecutive-
-  /// failure counter and adds a success to the error-rate window.
-  /// Ejection history decays with time rather than vanishing on one
-  /// good session — a flapping peer must not reset its ladder by
-  /// succeeding once.
+  /// Record a cleanly completed session. It forgives nothing by
+  /// itself — a flapping peer must not reset its ladder by succeeding
+  /// once — but a peer whose ejections have all decayed leaves the
+  /// table.
   void reward(const std::string& peer, std::uint64_t now_ms);
 
   /// Current ejection count (the escalation ladder position).
   [[nodiscard]] std::size_t strikes(const std::string& peer) const;
-  /// Violations in a row since the last clean session.
-  [[nodiscard]] std::size_t consecutive_failures(
-      const std::string& peer) const;
-  /// Violation share inside the history window at `now_ms` (0 when
-  /// the window is empty).
-  [[nodiscard]] double error_rate(const std::string& peer,
-                                  std::uint64_t now_ms) const;
   [[nodiscard]] std::size_t total_rejections() const {
     return total_rejections_;
-  }
-  [[nodiscard]] std::size_t total_ejections() const {
-    return total_ejections_;
   }
   [[nodiscard]] std::size_t quarantined_peers() const {
     return entries_.size();
   }
 
  private:
-  struct Outcome {
-    std::uint64_t at_ms = 0;
-    bool violation = false;
-  };
-
   struct Entry {
     std::size_t ejections = 0;
-    std::size_t consecutive = 0;
     std::size_t rejections = 0;
     std::uint64_t until_ms = 0;
-    /// Decay bookkeeping: quiet time is measured from the later of the
-    /// last outcome and the last decay step already taken.
+    /// Quiet time is measured from the later of the last violation and
+    /// the last decay step already taken.
     std::uint64_t decay_from_ms = 0;
-    std::deque<Outcome> history;
   };
 
-  /// Drop window-expired outcomes and apply ejection decay.
-  void age(Entry& entry, std::uint64_t now_ms) const;
-  [[nodiscard]] bool rate_trips(const Entry& entry) const;
+  /// Forgive one ejection per kEjectionDecayMs of quiet.
+  static void decay(Entry& entry, std::uint64_t now_ms);
+  /// True once the entry holds no ejection and no open window.
+  static bool forgiven(const Entry& entry, std::uint64_t now_ms) {
+    return entry.ejections == 0 && now_ms >= entry.until_ms;
+  }
+
+  /// Seed of the jitter stream.
+  static constexpr std::uint64_t kJitterSeed = 1;
 
   QuarantineOptions options_;
-  Rng jitter_;
+  Rng jitter_{kJitterSeed};
   std::map<std::string, Entry> entries_;
   std::size_t total_rejections_ = 0;
-  std::size_t total_ejections_ = 0;
 };
 
 }  // namespace pfrdtn::net

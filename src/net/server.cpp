@@ -29,6 +29,14 @@ std::string quarantine_key(const std::string& peer) {
 
 constexpr auto kProgressCheckInterval = std::chrono::milliseconds(250);
 
+/// Consecutive accept failures before run() gives up (returns false).
+/// Reset every time a session runs to its end.
+constexpr std::size_t kAcceptFailureBudget = 8;
+
+/// The simulated timestamp served sessions run at: a live server has
+/// no emulation clock.
+constexpr SimTime kSessionTime{0};
+
 }  // namespace
 
 /// One live connection, owned exclusively by its worker's loop thread.
@@ -46,7 +54,7 @@ struct SyncServer::Served {
         peer(std::move(peer_in)),
         key(std::move(key_in)),
         fault(fault_in),
-        machine(*server.replica_, server.policy_, server.options_.now,
+        machine(*server.replica_, server.policy_, kSessionTime,
                 server.options_.sync, server.options_.limits),
         decoder(machine.budget()),
         sink(outbuf, machine.budget()),
@@ -417,8 +425,7 @@ void SyncServer::on_acceptable() {
       fd = listener_.accept_raw();
     } catch (const TransportError& failure) {
       ++accept_failures_;
-      const bool giving_up =
-          accept_failures_ >= options_.accept_failure_budget;
+      const bool giving_up = accept_failures_ >= kAcceptFailureBudget;
       if (callbacks_.on_accept_error)
         callbacks_.on_accept_error(failure.what(), accept_failures_,
                                    giving_up);

@@ -59,9 +59,6 @@ struct SyncServerOptions {
   /// Optional fd that becomes readable to request a graceful drain
   /// (the CLI points a signal handler's self-pipe here); -1 = none.
   int shutdown_fd = -1;
-  /// Consecutive accept failures before run() gives up (returns
-  /// false). Reset every time a session runs to its end.
-  std::size_t accept_failure_budget = 8;
   /// Overload shedding: with more than this many sessions in flight a
   /// new connection is answered with one transient Busy Error frame
   /// and closed — no strike, the client retries with backoff — instead
@@ -71,8 +68,6 @@ struct SyncServerOptions {
   /// a scheduled byte offset; rate 0 = no faults, no RNG draws). The
   /// server-side half of the flaky-contact test surface.
   LinkFaultPlan link_faults;
-  /// The simulated timestamp sessions run at (serve uses 0).
-  SimTime now = SimTime(0);
   TcpOptions tcp;
   repl::SyncOptions sync;
   ResourceLimits limits;

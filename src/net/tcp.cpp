@@ -19,6 +19,11 @@ namespace pfrdtn::net {
 
 namespace {
 
+/// listen(2) backlog. Deep enough that a connection storm (the
+/// concurrent e2e drives 100+ clients at once) queues instead of
+/// getting refused.
+constexpr int kListenBacklog = 256;
+
 [[noreturn]] void fail(const std::string& what) {
   throw TransportError(what + ": " + std::strerror(errno));
 }
@@ -196,7 +201,7 @@ TcpListener::TcpListener(std::uint16_t port, TcpOptions options)
   addr.sin_port = htons(port);
   if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
     fail("tcp: bind failed");
-  if (::listen(fd_, options.listen_backlog) != 0)
+  if (::listen(fd_, kListenBacklog) != 0)
     fail("tcp: listen failed");
   socklen_t len = sizeof(addr);
   if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)

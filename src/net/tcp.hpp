@@ -31,10 +31,6 @@ struct TcpOptions {
   /// combined) or the next I/O throws TransportError. 0 disables.
   std::size_t min_bytes_per_second = 0;
   int min_progress_grace_ms = 2000;
-  /// listen(2) backlog. Deep enough by default that a connection storm
-  /// (the concurrent e2e drives 100+ clients at once) queues instead
-  /// of getting refused.
-  int listen_backlog = 256;
 };
 
 /// Toggle O_NONBLOCK on a raw socket fd (the event-loop server runs

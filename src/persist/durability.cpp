@@ -205,21 +205,13 @@ Durability::Durability(StorageEnv& env, DurabilityOptions options)
     : env_(env),
       options_(std::move(options)),
       // No segment until attach() names one.
-      wal_(env, {}, options_.sync_every_records) {
+      wal_(env, {}) {
   if (options_.checkpoint_generations == 0)
     options_.checkpoint_generations = 1;
   next_checkpoint_at_ = options_.checkpoint_every_bytes;
 }
 
-Durability::~Durability() {
-  try {
-    detach();
-  } catch (...) {
-    // A storage fault during teardown must not std::terminate the
-    // process: the pending records simply stay unacknowledged, which
-    // the contract already permits.
-  }
-}
+Durability::~Durability() { detach(); }
 
 void Durability::attach(repl::Replica& replica) {
   PFRDTN_REQUIRE(replica_ == nullptr);
@@ -257,6 +249,10 @@ void Durability::attach_generations(repl::Replica& replica) {
     wal_.set_file(wal_file(epoch_));
     if (newest.valid_header) {
       wal_.resume(newest);
+      // A restart without power loss can find records whose fsync
+      // failed still visible. Recovery replayed them and this node will
+      // serve them, so they must be as durable as the rest.
+      wal_.sync();
     } else {
       wal_.reset(epoch_);
     }
@@ -311,34 +307,16 @@ void Durability::attach_fresh(repl::Replica& replica) {
 
 void Durability::detach() {
   if (replica_ == nullptr) return;
-  repl::Replica* replica = replica_;
+  replica_->set_mutation_sink(nullptr);
   replica_ = nullptr;
-  try {
-    if (!degraded_) wal_.flush();
-  } catch (const StorageError& err) {
-    // Detach even when the final flush faults: the pending records
-    // were never acknowledged, so losing them is within contract.
-    replica->set_mutation_sink(nullptr);
-    degrade(err);
-    throw;
-  }
-  replica->set_mutation_sink(nullptr);
 }
 
 void Durability::flush() {
-  if (degraded_) return;  // nothing new has been acknowledged
   // A deferred roll is safe to take here: flush() is only called
   // between complete mutations, when memory matches the log.
-  if (roll_pending_ && replica_ != nullptr) {
-    roll_pending_ = false;
-    checkpoint_now();
-  }
-  try {
-    wal_.flush();
-  } catch (const StorageError& err) {
-    degrade(err);
-    throw;
-  }
+  if (degraded_ || !roll_pending_ || replica_ == nullptr) return;
+  roll_pending_ = false;
+  checkpoint_now();
 }
 
 void Durability::degrade(const StorageError& err) {
@@ -373,10 +351,9 @@ void Durability::checkpoint_now() {
 
 void Durability::checkpoint_now_impl() {
   roll_pending_ = false;  // this roll satisfies any deferred request
-  // (0) The segment must be durable-complete first: checkpoint E+1
-  // claims to contain everything in wal.<E>, so an unfsynced tail
-  // would let the checkpoint acknowledge records a crash could lose.
-  wal_.flush();
+  // Checkpoint E+1 claims to contain everything in wal.<E>. That whole
+  // segment is already durable: log() syncs every record, and attach()
+  // syncs a resumed segment.
   const std::uint64_t next_epoch = epoch_ + 1;
   // (1) Checkpoint write failure is soft: keep logging to the current
   // segment and retry after another checkpoint_every_bytes. A torn
@@ -469,6 +446,8 @@ void Durability::log(const Encode& encode) {
   encode(record_);
   try {
     wal_.append(record_.bytes());
+    // The commit: the hook returns only once its record is durable.
+    wal_.sync();
   } catch (const StorageError& err) {
     degrade(err);
     throw;
@@ -477,9 +456,7 @@ void Durability::log(const Encode& encode) {
   if (options_.kill_after_records != 0 &&
       records_logged_ >= options_.kill_after_records) {
     // Deterministic crash point for e2e tests: die with the record
-    // durable but the mutation's caller never told. flush() first so
-    // "acknowledged" matches what recovery will find.
-    wal_.flush();
+    // durable but the mutation's caller never told.
     std::raise(SIGKILL);
   }
   // Never roll here: the record just appended is not yet applied in

@@ -37,12 +37,12 @@
 ///   - Prune failure is *soft*: an extra generation or an orphaned file
 ///     costs disk, not correctness.
 ///
-/// Acknowledgement contract: once a hook returns with the record
-/// fsynced (every `sync_every_records` records; default every record),
-/// the mutation survives any crash. What recovery restores is exactly
-/// a retained checkpoint plus every fsynced record after it — the
-/// check harness asserts this with state digests taken at the crash
-/// point, including under injected storage faults.
+/// Acknowledgement contract: every hook returns with its record
+/// fsynced, so every acknowledged mutation survives any crash. What
+/// recovery restores is exactly a retained checkpoint plus every
+/// fsynced record after it — the check harness asserts this with state
+/// digests taken at the crash point, including under injected storage
+/// faults.
 
 #include <cstdint>
 #include <functional>
@@ -97,16 +97,13 @@ void apply_wal_record(repl::Replica& replica,
                       const std::vector<std::uint8_t>& payload);
 
 struct DurabilityOptions {
-  /// Fsync the log every N records; 1 = every mutation is durable
-  /// before its hook returns (the acknowledgement contract above).
-  std::size_t sync_every_records = 1;
   /// Roll the WAL into a checkpoint once it exceeds this many bytes.
   std::size_t checkpoint_every_bytes = 1 << 20;
   /// Checkpoint generations to retain (minimum 1). Older generations
   /// are the fallback when the newest checkpoint is unreadable.
   std::size_t checkpoint_generations = 3;
   /// Debug hook for crash e2e tests: raise SIGKILL immediately after
-  /// the Nth WAL record is appended (0 = disabled). Gives scripts a
+  /// the Nth WAL record is committed (0 = disabled). Gives scripts a
   /// deterministic mid-batch crash point.
   std::size_t kill_after_records = 0;
   /// Called exactly once, at the moment the layer degrades to
@@ -143,10 +140,11 @@ struct DurabilityCounters {
 /// recovered from this env, or the env is fresh). On a fresh env it
 /// writes the initial checkpoint + manifest. Otherwise it walks the
 /// same generation chain recover() walked, restoring the delivered
-/// ledger: it resumes the newest segment after its last valid record,
-/// or, when the newest generation is corrupt (the caller recovered via
-/// fallback), repairs by writing a fresh checkpoint one epoch past the
-/// corrupt one.
+/// ledger: it resumes the newest segment after its last valid record
+/// and syncs it (recovery replayed every visible record, so all of
+/// them must be durable), or, when the newest generation is corrupt
+/// (the caller recovered via fallback), repairs by writing a fresh
+/// checkpoint one epoch past the corrupt one.
 class Durability final : public repl::ReplicaMutationSink {
  public:
   Durability(StorageEnv& env, DurabilityOptions options = {});
@@ -156,14 +154,14 @@ class Durability final : public repl::ReplicaMutationSink {
   Durability& operator=(const Durability&) = delete;
 
   void attach(repl::Replica& replica);
-  /// Flush pending records and stop observing. Safe when not attached.
-  /// May throw StorageError if the final flush hits a fault; the sink
-  /// is detached either way (the destructor swallows the throw — a
-  /// fault during teardown must not std::terminate the process).
+  /// Stop observing. Safe when not attached. Every record is already
+  /// durable, so there is nothing to flush.
   void detach();
   [[nodiscard]] bool attached() const { return replica_ != nullptr; }
 
-  /// Fsync any batched records now (no-op at sync_every_records=1).
+  /// Take a checkpoint roll the last record left due, now rather than
+  /// at the next hook. Records need no flushing: each is durable
+  /// before its hook returns.
   void flush();
   /// Snapshot the replica into a new checkpoint generation and roll
   /// the WAL. Checkpoint/manifest write failures are soft (logged into
@@ -208,8 +206,9 @@ class Durability final : public repl::ReplicaMutationSink {
       const std::map<std::string, std::string>& all) override;
 
  private:
-  /// Encode one record into record_ with `encode(ByteWriter&)` and
-  /// append it to the WAL, ahead of the mutation it describes.
+  /// Encode one record into record_ with `encode(ByteWriter&)`, append
+  /// it to the WAL ahead of the mutation it describes, and fsync it:
+  /// the one place that decides when a record is committed.
   template <typename Encode>
   void log(const Encode& encode);
   void checkpoint_now_impl();
@@ -235,7 +234,7 @@ class Durability final : public repl::ReplicaMutationSink {
   /// soft checkpoint failure so the retry is paced, not immediate.
   std::size_t next_checkpoint_at_ = 0;
   /// Set when the threshold is crossed; consumed at the *start* of the
-  /// next log() (or flush/detach). Mutation hooks run write-ahead — the
+  /// next log() (or flush). Mutation hooks run write-ahead — the
   /// record is logged before the replica applies it — so rolling
   /// immediately after an append would snapshot state that lacks the
   /// record while retiring the segment that holds it. At the start of

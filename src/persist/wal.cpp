@@ -98,23 +98,20 @@ WalScan scan_wal_file(const StorageEnv& env, const std::string& name) {
 void WalWriter::set_file(std::string name) {
   name_ = std::move(name);
   log_bytes_ = 0;
-  pending_ = 0;
 }
 
 void WalWriter::resume(const WalScan& scan) {
   PFRDTN_REQUIRE(scan.valid_header);
   env_->truncate(name_, scan.valid_bytes);
   log_bytes_ = scan.valid_bytes;
-  pending_ = 0;
 }
 
 void WalWriter::reset(std::uint64_t epoch) {
   env_->truncate(name_, 0);
   const auto header = encode_wal_header(epoch);
   env_->append(name_, header.data(), header.size());
-  sync_now();
+  sync();
   log_bytes_ = header.size();
-  pending_ = 0;
 }
 
 void WalWriter::append(const std::vector<std::uint8_t>& payload) {
@@ -122,17 +119,9 @@ void WalWriter::append(const std::vector<std::uint8_t>& payload) {
   env_->append(name_, record_.data(), record_.size());
   log_bytes_ += record_.size();
   bytes_appended_ += record_.size();
-  ++records_appended_;
-  if (++pending_ >= sync_every_records_) flush();
 }
 
-void WalWriter::flush() {
-  if (pending_ == 0) return;
-  sync_now();
-  pending_ = 0;
-}
-
-void WalWriter::sync_now() {
+void WalWriter::sync() {
   env_->sync(name_);
   ++syncs_;
 }

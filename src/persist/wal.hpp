@@ -11,12 +11,12 @@
 ///   records  each: length u32 LE, crc u32 LE (CRC-32 of the payload),
 ///            payload `length` bytes
 ///
-/// Records become *acknowledged* only when WalWriter::commit() has
-/// fsynced them (batched via sync_every_records). Recovery scans the
-/// log and stops at the first record that is short, oversized, or
-/// fails its CRC — a torn tail from a mid-append crash — and reports
-/// the valid prefix length so the writer can truncate it away before
-/// appending again.
+/// Records become *acknowledged* only once WalWriter::sync() has made
+/// them durable; Durability::log syncs each record before its hook
+/// returns. Recovery scans the log and stops at the first record that
+/// is short, oversized, or fails its CRC — a torn tail from a
+/// mid-append crash — and reports the valid prefix length so the
+/// writer can truncate it away before appending again.
 
 #include <cstdint>
 #include <string>
@@ -59,58 +59,44 @@ WalScan scan_wal(const std::vector<std::uint8_t>& bytes);
 /// Scan the log file in `env` (absent file = empty scan).
 WalScan scan_wal_file(const StorageEnv& env, const std::string& name);
 
-/// Appender with fsync batching. `acked_records()` counts records the
-/// durability contract covers: everything up to the last sync().
+/// Frames records into one WAL segment and appends them. Only a fresh
+/// segment's header is synced here; when records become durable is
+/// its owner's call (sync()).
 class WalWriter {
  public:
-  WalWriter(StorageEnv& env, std::string name,
-            std::size_t sync_every_records)
-      : env_(&env),
-        name_(std::move(name)),
-        sync_every_records_(sync_every_records == 0
-                                ? 1
-                                : sync_every_records) {}
+  WalWriter(StorageEnv& env, std::string name)
+      : env_(&env), name_(std::move(name)) {}
 
   /// Retarget the writer at another log file (checkpoint generations
-  /// keep one WAL segment per epoch). Pending state is discarded; call
-  /// reset()/resume() next.
+  /// keep one WAL segment per epoch); call reset()/resume() next.
   void set_file(std::string name);
   [[nodiscard]] const std::string& file() const { return name_; }
 
   /// Truncate any torn tail and position after `scan`'s valid prefix.
   void resume(const WalScan& scan);
 
-  /// Start a fresh log for `epoch` (truncates any existing content).
+  /// Start a fresh log for `epoch` (truncates any existing content);
+  /// the header is durable on return.
   void reset(std::uint64_t epoch);
 
-  /// Append one record with a single env append; fsyncs when the
-  /// batch quota is reached.
+  /// Append one record with a single env append. Visible, not durable.
   void append(const std::vector<std::uint8_t>& payload);
 
-  /// Force-fsync pending appends (end of a sync session, shutdown).
-  void flush();
+  /// Make everything appended to the segment so far durable.
+  void sync();
 
   [[nodiscard]] std::size_t log_bytes() const { return log_bytes_; }
-  [[nodiscard]] std::size_t records_appended() const {
-    return records_appended_;
-  }
   [[nodiscard]] std::size_t bytes_appended() const {
     return bytes_appended_;
   }
-  [[nodiscard]] std::size_t pending_records() const { return pending_; }
   /// fsyncs actually issued against the env (durability counter).
   [[nodiscard]] std::size_t syncs() const { return syncs_; }
 
  private:
-  void sync_now();
-
   StorageEnv* env_;
   std::string name_;
-  std::size_t sync_every_records_;
   std::size_t log_bytes_ = 0;
-  std::size_t records_appended_ = 0;
   std::size_t bytes_appended_ = 0;
-  std::size_t pending_ = 0;
   std::size_t syncs_ = 0;
   std::vector<std::uint8_t> record_;  ///< reused framing buffer
 };

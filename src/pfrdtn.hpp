@@ -4,7 +4,7 @@
 /// Umbrella header for the PFR-DTN library.
 ///
 /// Layering (lower layers never include upper ones):
-///   util/   ids, rng, sim-time, byte buffers, stats, logging
+///   util/   ids, rng, sim-time, byte buffers, stats
 ///   repl/   the peer-to-peer filtered replication substrate
 ///   dtn/    the DTN messaging application + routing policies
 ///   trace/  synthetic workload & mobility generators, trace I/O
@@ -16,7 +16,6 @@
 // util
 #include "util/byte_buffer.hpp"
 #include "util/ids.hpp"
-#include "util/logging.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"

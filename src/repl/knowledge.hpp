@@ -33,33 +33,6 @@ namespace pfrdtn::repl {
 
 class BloomFilter;  // summary.hpp
 
-/// Tuning of the knowledge summary a replica offers its sync peers
-/// (see summary.hpp and docs/net.md). Bits-per-element and hash count
-/// follow the Bloom-parameter framework of Marandi et al. (PAPERS.md):
-/// for m/n bits per element the false-positive rate is minimized by
-/// k = ln2 * m/n hash functions, giving fp ~ 0.5^k — the default 10
-/// bits / 7 hashes lands near 0.8%.
-struct SummaryParams {
-  std::uint32_t bits_per_element = 10;
-  std::uint32_t hash_count = 7;
-  /// Knowledge holding more events than this never gets a Bloom filter
-  /// (the digest tier still applies): bounds the build cost of a cache
-  /// rebuild and the memory a summary can occupy.
-  std::uint32_t max_bloom_elements = 4096;
-  /// A filter bigger than this many bytes is never *sent* — at that
-  /// size the exact codec is competitive and the digest tier already
-  /// handles the converged case in O(1).
-  std::uint32_t max_bloom_bytes = 512;
-
-  /// k minimizing the false-positive rate at a given m/n, per Marandi
-  /// et al.: round(ln2 * bits_per_element), clamped to [1, 32].
-  [[nodiscard]] static std::uint32_t optimal_hash_count(
-      std::uint32_t bits_per_element);
-
-  friend bool operator==(const SummaryParams&,
-                         const SummaryParams&) = default;
-};
-
 class Knowledge {
  public:
   /// One scoped claim: every event in `versions` that applies to an
@@ -172,12 +145,11 @@ class Knowledge {
   /// only over-sizes a Bloom filter). O(entries), not O(events).
   [[nodiscard]] std::uint64_t event_count() const;
 
-  /// Cached Bloom filter over every known event, or null when `params`
-  /// says this knowledge should not ship one (too many events, filter
-  /// bigger than the cap or than the exact codec). Defined in
+  /// Cached Bloom filter over every known event, or null when this
+  /// knowledge should not ship one (too many events, filter bigger than
+  /// the cap or than the exact codec; see summary.hpp). Defined in
   /// summary.cpp.
-  [[nodiscard]] std::shared_ptr<const BloomFilter> bloom(
-      const SummaryParams& params) const;
+  [[nodiscard]] std::shared_ptr<const BloomFilter> bloom() const;
 
   /// Appends wire().
   void serialize(ByteWriter& w) const { w.append(wire()); }
@@ -235,8 +207,7 @@ class Knowledge {
   // Value-derived caches, copied along with the value (the Bloom cache
   // is shared immutably).
   mutable WireCache wire_;
-  mutable std::uint64_t bloom_cache_revision_ = 0;
-  mutable std::optional<SummaryParams> bloom_cache_params_;
+  mutable std::uint64_t bloom_cache_revision_ = 0;  ///< 0: none cached
   mutable std::shared_ptr<const BloomFilter> bloom_cache_;
 };
 

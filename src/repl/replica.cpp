@@ -1,6 +1,5 @@
 #include "repl/replica.hpp"
 
-#include "util/logging.hpp"
 #include "util/storage_error.hpp"
 
 namespace pfrdtn::repl {
@@ -242,12 +241,9 @@ void Replica::replay_policy_state(
 
 void Replica::forget_evicted(const std::vector<Item>& evicted) {
   for (const Item& item : evicted) {
-    if (!knowledge_.forget_exact(item.version())) {
-      PFRDTN_LOG(Debug) << "replica " << id_.str()
-                        << ": evicted item " << item.id().str()
-                        << " whose event was already folded; copy "
-                           "cannot be re-received";
-    }
+    // An event already folded into a prefix cannot be forgotten: that
+    // copy can then never be re-received.
+    knowledge_.forget_exact(item.version());
     knowledge_.drop_fragments_matching(item);
   }
 }

@@ -1,16 +1,6 @@
 #include "repl/summary.hpp"
 
-#include <cmath>
-
 namespace pfrdtn::repl {
-
-std::uint32_t SummaryParams::optimal_hash_count(
-    std::uint32_t bits_per_element) {
-  const double k = std::round(0.6931471805599453 * bits_per_element);
-  if (k < 1.0) return 1;
-  if (k > BloomFilter::kMaxHashCount) return BloomFilter::kMaxHashCount;
-  return static_cast<std::uint32_t>(k);
-}
 
 BloomFilter::BloomFilter(std::uint64_t bit_count,
                          std::uint32_t hash_count)
@@ -20,13 +10,12 @@ BloomFilter::BloomFilter(std::uint64_t bit_count,
   bits_.assign(static_cast<std::size_t>((bit_count_ + 7) / 8), 0);
 }
 
-BloomFilter BloomFilter::sized_for(std::uint64_t element_count,
-                                   const SummaryParams& params) {
+BloomFilter BloomFilter::sized_for(std::uint64_t element_count) {
   // An empty filter still needs one byte: it proves "I know nothing",
   // the cheapest possible cold-sync request.
   const std::uint64_t bits =
-      std::max<std::uint64_t>(8, element_count * params.bits_per_element);
-  return BloomFilter(bits, params.hash_count);
+      std::max<std::uint64_t>(8, element_count * kBloomBitsPerElement);
+  return BloomFilter(bits, kBloomHashCount);
 }
 
 namespace {
@@ -104,24 +93,19 @@ KnowledgeSummary KnowledgeSummary::deserialize(ByteReader& r) {
   return summary;
 }
 
-std::shared_ptr<const BloomFilter> Knowledge::bloom(
-    const SummaryParams& params) const {
-  if (bloom_cache_revision_ == revision_ &&
-      bloom_cache_params_ == params) {
-    return bloom_cache_;
-  }
+std::shared_ptr<const BloomFilter> Knowledge::bloom() const {
+  if (bloom_cache_revision_ == revision_) return bloom_cache_;
   bloom_cache_revision_ = revision_;
-  bloom_cache_params_ = params;
   bloom_cache_ = nullptr;
   const std::uint64_t events = event_count();
-  if (events <= params.max_bloom_elements) {
-    BloomFilter filter = BloomFilter::sized_for(events, params);
+  if (events <= kMaxBloomElements) {
+    BloomFilter filter = BloomFilter::sized_for(events);
     // Ship the filter only while it undercuts both the absolute cap and
     // the exact codec: past either, the exact knowledge (or the digest
     // tier alone) is the better offer. The decision is a pure function
-    // of (knowledge, params) — both sides of the differential suite see
+    // of the knowledge — both sides of the differential suite see
     // identical requests.
-    if (filter.byte_size() <= params.max_bloom_bytes &&
+    if (filter.byte_size() <= kMaxBloomBytes &&
         filter.byte_size() < size_bytes()) {
       auto insert = [&filter](ReplicaId author, std::uint64_t counter) {
         filter.insert(author, counter);
@@ -136,11 +120,10 @@ std::shared_ptr<const BloomFilter> Knowledge::bloom(
   return bloom_cache_;
 }
 
-KnowledgeSummary summarize(const Knowledge& knowledge,
-                           const SummaryParams& params) {
+KnowledgeSummary summarize(const Knowledge& knowledge) {
   KnowledgeSummary summary;
   summary.digest = knowledge.wire_digest();
-  if (auto bloom = knowledge.bloom(params)) summary.bloom = *bloom;
+  if (auto bloom = knowledge.bloom()) summary.bloom = *bloom;
   return summary;
 }
 

@@ -25,6 +25,21 @@
 
 namespace pfrdtn::repl {
 
+/// Bloom sizing, per Marandi et al.: at m/n bits per element the
+/// false-positive rate is minimized by k = ln2 * m/n hash functions,
+/// giving fp ~ 0.5^k. 10 bits and k = round(ln2 * 10) = 7 land near
+/// 0.8 %.
+inline constexpr std::uint32_t kBloomBitsPerElement = 10;
+inline constexpr std::uint32_t kBloomHashCount = 7;
+/// Knowledge holding more events than this never gets a Bloom filter
+/// (the digest tier still applies): bounds the build cost of a cache
+/// rebuild and the memory a summary can occupy.
+inline constexpr std::uint64_t kMaxBloomElements = 4096;
+/// A filter bigger than this many bytes is never *sent* — at that size
+/// the exact codec is competitive and the digest tier already handles
+/// the converged case in O(1).
+inline constexpr std::size_t kMaxBloomBytes = 512;
+
 /// Bloom filter over update events (author, counter). Double hashing:
 /// the two base hashes derive from one splitmix64 chain, probe i uses
 /// h1 + i*h2 mod bit_count.
@@ -37,13 +52,13 @@ class BloomFilter {
   BloomFilter() = default;
   BloomFilter(std::uint64_t bit_count, std::uint32_t hash_count);
 
-  /// The filter `params` prescribes for `element_count` events.
-  static BloomFilter sized_for(std::uint64_t element_count,
-                               const SummaryParams& params);
+  /// An empty filter sized for `element_count` events at
+  /// kBloomBitsPerElement with kBloomHashCount hashes.
+  static BloomFilter sized_for(std::uint64_t element_count);
 
   void insert(ReplicaId author, std::uint64_t counter);
   /// False means definitively absent; true means present or a false
-  /// positive (rate tuned by SummaryParams).
+  /// positive (rate tuned by kBloomBitsPerElement).
   [[nodiscard]] bool maybe_contains(ReplicaId author,
                                     std::uint64_t counter) const;
 
@@ -72,8 +87,8 @@ class BloomFilter {
 struct KnowledgeSummary {
   /// Knowledge::wire_digest() of the exact knowledge.
   std::uint64_t digest = 0;
-  /// Bloom filter over every known event; absent when the exact codec
-  /// is at least as compact (see Knowledge::bloom and SummaryParams).
+  /// Bloom filter over every known event; absent when it would break
+  /// a cap above or not undercut the exact codec (Knowledge::bloom).
   std::optional<BloomFilter> bloom;
 
   void serialize(ByteWriter& w) const;
@@ -83,10 +98,9 @@ struct KnowledgeSummary {
                          const KnowledgeSummary&) = default;
 };
 
-/// Build the summary `knowledge` should offer under `params`. Cached
-/// inside the Knowledge object (digest and Bloom both key on its
-/// revision), so in the converged steady state this is O(1) per sync.
-[[nodiscard]] KnowledgeSummary summarize(const Knowledge& knowledge,
-                                         const SummaryParams& params);
+/// Build the summary `knowledge` should offer. Cached inside the
+/// Knowledge object (digest and Bloom both key on its revision), so in
+/// the converged steady state this is O(1) per sync.
+[[nodiscard]] KnowledgeSummary summarize(const Knowledge& knowledge);
 
 }  // namespace pfrdtn::repl

@@ -218,7 +218,7 @@ SummaryRequestInfo make_summary_request(Replica& target,
   SummaryRequestInfo req;
   req.target = target.id();
   req.filter = target.filter();
-  req.summary = summarize(target.knowledge(), SummaryParams{});
+  req.summary = summarize(target.knowledge());
   req.routing_state =
       request_routing_state(target, target_policy, source_id, now);
   return req;

@@ -299,26 +299,12 @@ inline constexpr std::uint8_t kSyncErrorReadOnly = 1;
 inline constexpr std::uint8_t kSyncErrorBusy = 2;
 inline constexpr std::uint8_t kSyncErrorDraining = 3;
 
-/// Decoded payload of an Error frame.
+/// Decoded payload of an Error frame. Every code, including one this
+/// build does not know, is a transient refusal: the receiving role
+/// ends gracefully and retries at the next contact.
 struct SyncErrorInfo {
   std::uint8_t code = 0;
   std::string message;
-  /// Whether the refusal is known-transient (retry at the next
-  /// contact). Every currently assigned code is transient, and unknown
-  /// codes from newer peers default to transient too: refusing
-  /// politely is strictly better behaviour than anything a hostile
-  /// peer could gain from the frame. The switch exists so a future
-  /// permanent code has one place to land.
-  [[nodiscard]] bool transient() const {
-    switch (code) {
-      case kSyncErrorReadOnly:
-      case kSyncErrorBusy:
-      case kSyncErrorDraining:
-        return true;
-      default:
-        return true;  // unknown codes: be polite, retry later
-    }
-  }
 };
 
 /// Log/CLI label for an error-frame code ("read-only", "busy",

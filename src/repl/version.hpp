@@ -230,7 +230,7 @@ class VersionSet {
   }
 
   /// Visit every member event as (author, counter). O(event_count()):
-  /// callers must bound the set first (see SummaryParams) — this
+  /// callers must bound the set first (see kMaxBloomElements) — this
   /// enumerates whole vector prefixes.
   template <typename Fn>
   void for_each_event(Fn&& fn) const {

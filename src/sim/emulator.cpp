@@ -4,7 +4,6 @@
 
 #include "dtn/registry.hpp"
 #include "sim/event_queue.hpp"
-#include "util/logging.hpp"
 
 namespace pfrdtn::sim {
 
@@ -137,11 +136,7 @@ void Emulation::record_deliveries(
     const std::vector<dtn::Message>& delivered, dtn::DtnNode& node,
     SimTime now) {
   for (const dtn::Message& message : delivered) {
-    if (metrics_.on_delivered(message.id, now,
-                              count_copies(message.id))) {
-      PFRDTN_LOG(Debug) << "delivered " << message.id.str() << " at "
-                        << now.str();
-    }
+    metrics_.on_delivered(message.id, now, count_copies(message.id));
     if (config_.delete_after_delivery) node.expunge(message.id);
   }
 }

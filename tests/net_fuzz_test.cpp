@@ -202,30 +202,44 @@ TEST(NetFuzz, ErrorFrameDecoderNeverCrashes) {
 
 TEST(NetFuzz, ErrorFrameSurvivesTruncationAndBitFlips) {
   // A real transient refusal, attacked every way a dying or hostile
-  // link can mangle it. Parseable corruptions must stay transient or
-  // become unknown codes — which decode as transient too, so a
-  // confused refusal can never strike quarantine.
+  // link can mangle it. Whatever still decodes — a truncated message,
+  // a flipped or unknown code — is still a refusal: a source role
+  // opened with it ends Done with `refused` set and nothing throws, so
+  // a confused refusal can never strike quarantine.
   const std::vector<std::uint8_t> payload = repl::encode_error_frame(
       repl::kSyncErrorBusy, "server busy: at session cap, retry");
+  Replica source(ReplicaId(7), Filter::addresses({HostId(3)}));
+  source.create({{repl::meta::kDest, "5"}}, {'z'});
+  const auto open_with = [&](const std::vector<std::uint8_t>& mangled) {
+    repl::SyncErrorInfo info;
+    try {
+      info = repl::decode_error_frame(mangled);
+    } catch (const ContractViolation&) {
+      return;  // not a decodable Error frame: the decoder's own test
+    }
+    // Whatever the code, it maps to *some* stable label.
+    EXPECT_FALSE(repl::sync_error_code_name(info.code).empty());
+    SessionBudget budget;
+    SourceSession session(source, nullptr, SimTime(0), {}, budget);
+    ScriptedConnection replies;
+    ConnectionFrameSink sink(replies, budget);
+    const Frame opener{repl::SyncFrame::Error, mangled,
+                       framed_size(mangled.size())};
+    EXPECT_NO_THROW(session.on_frame(opener, sink));
+    EXPECT_EQ(session.state(), SourceSession::State::Done);
+    EXPECT_TRUE(session.take_stats().refused);
+    EXPECT_TRUE(replies.written().empty());
+  };
   for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
-    must_parse_or_throw([&] {
-      const auto info = repl::decode_error_frame(
-          {payload.begin(),
-           payload.begin() + static_cast<std::ptrdiff_t>(cut)});
-      EXPECT_TRUE(info.transient());
-    });
+    open_with({payload.begin(),
+               payload.begin() + static_cast<std::ptrdiff_t>(cut)});
   }
   Rng rng(29);
   for (int trial = 0; trial < 300; ++trial) {
     auto corrupted = payload;
     corrupted[rng.below(corrupted.size())] ^=
         static_cast<std::uint8_t>(1u << rng.below(8));
-    must_parse_or_throw([&] {
-      const auto info = repl::decode_error_frame(corrupted);
-      EXPECT_TRUE(info.transient());
-      // Whatever the flipped code, it maps to *some* stable label.
-      EXPECT_FALSE(repl::sync_error_code_name(info.code).empty());
-    });
+    open_with(corrupted);
   }
 }
 

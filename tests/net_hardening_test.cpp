@@ -132,11 +132,11 @@ TEST(Quarantine, StrikesEscalateAndWindowsDecay) {
   EXPECT_LE(window, options.max_backoff_ms);
   EXPECT_GE(window, options.max_backoff_ms / 2);
 
-  // A clean session resets the consecutive-failure count but not the
-  // ejection record — one good sync must not launder a long rap sheet.
+  // A clean session forgives nothing — one good sync must not launder
+  // a long rap sheet.
+  const std::size_t strikes = table.strikes("10.0.0.1");
   table.reward("10.0.0.1", options.max_backoff_ms);
-  EXPECT_EQ(table.consecutive_failures("10.0.0.1"), 0u);
-  EXPECT_GT(table.strikes("10.0.0.1"), 0u);
+  EXPECT_EQ(table.strikes("10.0.0.1"), strikes);
 
   // Quiet time is what forgives: after enough violation-free decay
   // intervals the ejection count reaches zero and the peer is clean.
@@ -146,126 +146,72 @@ TEST(Quarantine, StrikesEscalateAndWindowsDecay) {
 }
 
 TEST(Quarantine, DeterministicUnderSeededJitter) {
-  QuarantineTable a;  // default jitter_seed
+  QuarantineTable a;  // fixed jitter seed
   QuarantineTable b;
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(a.punish("peer", 0), b.punish("peer", 0));
 }
 
-QuarantineOptions outlier_options() {
-  QuarantineOptions options;
-  options.consecutive_failure_threshold = 3;
-  // Silence the rate monitor so each test isolates one monitor.
-  options.error_rate_min_outcomes = 100;
-  return options;
-}
-
-TEST(Quarantine, ConsecutiveFailureThresholdGatesEjection) {
-  QuarantineTable table(outlier_options());
-  // Two violations in a row: recorded, but below the threshold — the
-  // peer is still admitted and holds no ejection.
-  EXPECT_EQ(table.punish("peer", 0), 0u);
-  EXPECT_EQ(table.punish("peer", 10), 0u);
-  EXPECT_EQ(table.consecutive_failures("peer"), 2u);
-  EXPECT_EQ(table.strikes("peer"), 0u);
-  EXPECT_FALSE(table.admit("peer", 20).rejected);
-  // The third trips the monitor.
-  EXPECT_GT(table.punish("peer", 30), 0u);
+TEST(Quarantine, FirstViolationEjects) {
+  QuarantineTable table;
+  const std::uint64_t window = table.punish("peer", 0);
+  EXPECT_GE(window, 500u);
   EXPECT_EQ(table.strikes("peer"), 1u);
-  EXPECT_TRUE(table.admit("peer", 31).rejected);
-}
-
-TEST(Quarantine, CleanSessionsBreakAConsecutiveRun) {
-  QuarantineTable table(outlier_options());
-  // fail, fail, clean, fail, fail, clean, ... — never three in a row,
-  // never ejected, no matter how long it goes on.
-  std::uint64_t now = 0;
-  for (int round = 0; round < 8; ++round) {
-    EXPECT_EQ(table.punish("peer", now++), 0u);
-    EXPECT_EQ(table.punish("peer", now++), 0u);
-    table.reward("peer", now++);
-    EXPECT_EQ(table.consecutive_failures("peer"), 0u);
+  EXPECT_TRUE(table.admit("peer", 1).rejected);
+  // Clean sessions in between do not soften the rule: a peer that
+  // alternates violations with clean sessions is ejected every time.
+  std::uint64_t now = window;
+  for (std::size_t round = 2; round <= 4; ++round) {
+    EXPECT_FALSE(table.admit("peer", now).rejected);
+    table.reward("peer", now);
+    const std::uint64_t next = table.punish("peer", now + 1);
+    EXPECT_GT(next, 0u);
+    EXPECT_EQ(table.strikes("peer"), round);
+    EXPECT_TRUE(table.admit("peer", now + 2).rejected);
+    now += 1 + next;
   }
-  EXPECT_EQ(table.strikes("peer"), 0u);
-  EXPECT_FALSE(table.admit("peer", now).rejected);
 }
 
-TEST(Quarantine, ErrorRateEjectsAFlappingPeer) {
-  // The peer the consecutive monitor alone can never catch: it
-  // interleaves a clean session after every violation, so the run
-  // length is always 1 — but half its sessions are violations.
+TEST(Quarantine, FullyForgivenPeerLeavesTheTable) {
   QuarantineOptions options;
-  options.consecutive_failure_threshold = 100;  // effectively off
-  options.error_rate_threshold = 0.5;
-  options.error_rate_min_outcomes = 10;
+  options.base_backoff_ms = 100;
   QuarantineTable table(options);
-  std::uint64_t ejected_at = 0;
-  std::uint64_t now = 10;
-  for (int round = 0; round < 8 && ejected_at == 0; ++round) {
-    const std::uint64_t window = table.punish("peer", now);
-    if (window > 0) ejected_at = now;
-    table.reward("peer", now + 5);  // run length never exceeds 1
-    EXPECT_LE(table.consecutive_failures("peer"), 1u);
-    now += 10;
-  }
-  EXPECT_GT(ejected_at, 0u) << "flapping peer was never ejected";
-  EXPECT_GE(table.error_rate("peer", ejected_at), 0.5);
+  table.punish("peer", 0);
+  EXPECT_TRUE(table.admit("peer", 1).rejected);
+  // Quiet short of one decay interval forgives nothing.
+  table.reward("peer", kEjectionDecayMs - 1);
   EXPECT_EQ(table.strikes("peer"), 1u);
-}
-
-TEST(Quarantine, ErrorRateNeedsEnoughOutcomes) {
-  // A 100% violation rate over too few sessions is not yet a verdict:
-  // below error_rate_min_outcomes the rate monitor stays silent.
-  QuarantineOptions options;
-  options.consecutive_failure_threshold = 100;
-  options.error_rate_min_outcomes = 10;
-  QuarantineTable table(options);
-  for (int i = 0; i < 9; ++i)
-    EXPECT_EQ(table.punish("peer", static_cast<std::uint64_t>(i)), 0u);
-  EXPECT_EQ(table.error_rate("peer", 9), 1.0);
-  EXPECT_EQ(table.strikes("peer"), 0u);
-  // The tenth outcome completes the sample and trips it.
-  EXPECT_GT(table.punish("peer", 9), 0u);
-}
-
-TEST(Quarantine, OldOutcomesFallOutOfTheRateWindow) {
-  QuarantineOptions options;
-  options.consecutive_failure_threshold = 100;
-  options.error_rate_min_outcomes = 10;
-  options.history_window_ms = 1000;
-  QuarantineTable table(options);
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(table.punish("peer", 0), 0u);
-  EXPECT_EQ(table.error_rate("peer", 0), 1.0);
-  // The whole burst ages out of the window: the rate view is clean,
-  // and a single fresh violation does not trip the monitor (the nine
-  // expired outcomes no longer count toward min_outcomes either).
-  EXPECT_EQ(table.error_rate("peer", 2000), 0.0);
-  EXPECT_EQ(table.punish("peer", 2000), 0u);
-  EXPECT_EQ(table.strikes("peer"), 0u);
+  EXPECT_EQ(table.quarantined_peers(), 1u);
+  // One full interval forgives the only ejection: the peer leaves the
+  // table, its rejection count with it.
+  table.reward("peer", kEjectionDecayMs);
+  EXPECT_EQ(table.quarantined_peers(), 0u);
+  table.punish("peer", kEjectionDecayMs + 1);
+  EXPECT_EQ(table.strikes("peer"), 1u);
+  EXPECT_EQ(table.admit("peer", kEjectionDecayMs + 2).rejections, 1u);
 }
 
 TEST(Quarantine, EjectionsDecayOneIntervalAtATime) {
   QuarantineOptions options;
   options.base_backoff_ms = 100;
-  options.ejection_decay_ms = 1000;
-  options.history_window_ms = 500;
   QuarantineTable table(options);
-  // Three ejections (threshold 1 = legacy strike-per-violation).
+  // Three ejections.
   table.punish("peer", 0);
   table.punish("peer", 0);
   table.punish("peer", 0);
   EXPECT_EQ(table.strikes("peer"), 3u);
   // Quiet time forgives stepwise: one interval, one ejection.
-  EXPECT_FALSE(table.admit("peer", 1500).rejected);
+  const std::uint64_t half = kEjectionDecayMs / 2;
+  EXPECT_FALSE(table.admit("peer", kEjectionDecayMs + half).rejected);
   EXPECT_EQ(table.strikes("peer"), 2u);
-  EXPECT_FALSE(table.admit("peer", 2500).rejected);
+  EXPECT_FALSE(table.admit("peer", 2 * kEjectionDecayMs + half).rejected);
   EXPECT_EQ(table.strikes("peer"), 1u);
-  EXPECT_FALSE(table.admit("peer", 3500).rejected);
+  EXPECT_FALSE(table.admit("peer", 3 * kEjectionDecayMs + half).rejected);
   EXPECT_EQ(table.strikes("peer"), 0u);
-  // Fully neutral entries are dropped from the table entirely.
+  // Fully forgiven entries are dropped from the table entirely.
   EXPECT_EQ(table.quarantined_peers(), 0u);
   // The next violation starts the ladder from the bottom window.
-  const std::uint64_t window = table.punish("peer", 4000);
+  const std::uint64_t window = table.punish("peer", 4 * kEjectionDecayMs);
   EXPECT_GE(window, 50u);
   EXPECT_LE(window, 100u);
 }
@@ -273,15 +219,14 @@ TEST(Quarantine, EjectionsDecayOneIntervalAtATime) {
 TEST(Quarantine, ActiveOffendersEarnNoDecay) {
   QuarantineOptions options;
   options.base_backoff_ms = 1;
-  options.ejection_decay_ms = 1000;
   QuarantineTable table(options);
-  // A violation every half interval: decay_from_ms advances with each
-  // offense, so the quiet clock never completes an interval and the
-  // ejection count only climbs.
+  // A violation every half interval: the quiet clock restarts with
+  // each offense, so it never completes an interval and the ejection
+  // count only climbs.
   std::uint64_t now = 0;
   for (int i = 0; i < 6; ++i) {
     table.punish("peer", now);
-    now += 500;
+    now += kEjectionDecayMs / 2;
   }
   EXPECT_EQ(table.strikes("peer"), 6u);
 }

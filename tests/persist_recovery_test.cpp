@@ -1,14 +1,16 @@
 // The Durability sink end to end on MemEnv: the acknowledgement
-// contract (crash after any fsynced record recovers exactly the state
-// at that record), fsync batching semantics, checkpoint rotation with
-// the epoch guard, stale-log rejection, torn-tail resume, and the
-// skip-fsync injected bug actually losing acknowledged state.
+// contract (every hook returns with its record fsynced, so a crash
+// after it recovers exactly the state at that record), checkpoint
+// rotation with the epoch guard, stale-log rejection, torn-tail
+// resume, a resumed segment made durable on attach, and the skip-fsync
+// injected bug actually losing acknowledged state.
 
 #include "persist/durability.hpp"
 
 #include <gtest/gtest.h>
 
 #include "check/mutant_env.hpp"
+#include "persist/fault_env.hpp"
 #include "repl/sync.hpp"
 #include "util/byte_buffer.hpp"
 
@@ -71,8 +73,8 @@ TEST(Recovery, NoCheckpointMeansFreshStart) {
 
 TEST(Recovery, CrashAfterEveryMutationRecoversThatExactState) {
   // The acknowledgement contract, exhaustively: after each funnel
-  // mutation returns (sync_every_records=1, so each record is fsynced),
-  // a crash at that instant must recover the exact post-mutation state.
+  // mutation returns (its record fsynced), a crash at that instant must
+  // recover the exact post-mutation state.
   MemEnv env;
   Replica replica = make_replica(1, 5);
   Replica peer = make_replica(2, 5);
@@ -105,30 +107,46 @@ TEST(Recovery, CrashAfterEveryMutationRecoversThatExactState) {
   check("learn");
 }
 
-TEST(Recovery, FsyncBatchingAcksOnlySyncedRecords) {
+TEST(Recovery, EveryHookReturnsWithTheLiveSegmentDurable) {
+  // Durability::log commits each record before its hook returns: no
+  // hook and no note_delivered() leaves an unsynced byte in the live
+  // segment, across checkpoint rolls too.
   MemEnv env;
   Replica replica = make_replica(1, 5);
+  Replica peer = make_replica(2, 5);
   DurabilityOptions options;
-  options.sync_every_records = 3;
+  options.checkpoint_every_bytes = 64;  // roll every few records
   Durability durability(env, options);
   durability.attach(replica);
 
-  replica.create(to(5), {'1'});
-  replica.create(to(5), {'2'});
-  const std::uint64_t digest_after_two = state_digest(replica);
-  replica.create(to(5), {'3'});  // completes the batch: fsync
-  const std::uint64_t digest_after_three = state_digest(replica);
-  replica.create(to(5), {'4'});  // pending, not yet durable
-  replica.create(to(5), {'5'});  // pending
-
-  // A crash now forgets the two unsynced records — they were never
-  // acknowledged — but keeps the full synced batch.
-  EXPECT_EQ(recovered_digest(env), digest_after_three);
-  EXPECT_NE(digest_after_three, digest_after_two);
-
-  // flush() extends the contract to everything appended.
-  durability.flush();
-  EXPECT_EQ(recovered_digest(env), state_digest(replica));
+  const auto check = [&](const char* what) {
+    const std::string segment = wal_file(durability.epoch());
+    EXPECT_GT(env.file_size(segment), 0u) << what;
+    EXPECT_EQ(env.durable_size(segment), env.file_size(segment)) << what;
+  };
+  std::vector<Item> evicted;
+  const Item& a = replica.create(to(5), {'a'});
+  check("create");
+  replica.update(a.id(), to(5), {'a', '2'});
+  check("update");
+  const Item& relay = replica.create(to(9), {'r'});
+  replica.erase(relay.id());
+  check("erase");
+  replica.apply_remote(peer.create(to(5), {'p'}), evicted);
+  check("apply_remote");
+  const Item& passing = peer.create(to(7), {'q'});
+  replica.apply_remote(passing, evicted);
+  replica.discard_relay(passing.id());
+  check("discard_relay");
+  replica.set_filter(Filter::addresses({HostId(5), HostId(6)}));
+  check("set_filter");
+  replica.learn(peer.knowledge());
+  check("learn");
+  replica.note_policy_state(a.id());
+  check("policy_state");
+  durability.note_delivered(a.id());
+  check("note_delivered");
+  EXPECT_GT(durability.checkpoints_written(), 1u);
 }
 
 TEST(Recovery, SkipFsyncBugLosesAcknowledgedState) {
@@ -143,7 +161,6 @@ TEST(Recovery, SkipFsyncBugLosesAcknowledgedState) {
   durability.attach(replica);
 
   replica.create(to(5), {'a'});
-  durability.flush();
   ASSERT_NE(state_digest(replica), empty_digest);
   EXPECT_EQ(recovered_digest(env), empty_digest);  // state lost
 }
@@ -504,6 +521,36 @@ TEST(Recovery, AllGenerationsCorruptIsRejected) {
     env.write_file_durable(checkpoint_file(epoch), bad);
   }
   EXPECT_THROW(recover(env), ContractViolation);
+}
+
+TEST(Recovery, AttachMakesAResumedSegmentDurable) {
+  // A node degraded by a failed fsync restarts without a power loss.
+  // The record whose fsync failed is still visible, so recovery replays
+  // it and the restarted node serves it: attach() must make it durable,
+  // or a later power loss takes back state the node already served.
+  MemEnv mem;
+  FaultPlan plan;
+  plan.fail_appends = false;
+  plan.fail_durable_writes = false;
+  plan.fail_truncates = false;
+  FaultInjectingEnv env(mem, plan);
+  Replica replica = make_replica(1, 5);
+  {
+    Durability durability(env);
+    durability.attach(replica);
+    replica.create(to(5), {'1'});
+    env.set_fault_rate(1.0);  // every fsync fails from here on
+    EXPECT_THROW(replica.create(to(5), {'2'}), StorageError);
+    EXPECT_TRUE(durability.degraded());
+  }
+  env.set_fault_rate(0.0);
+  auto recovered = recover(env);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->replica.store().size(), 2u);
+  Durability durability(env);
+  durability.attach(recovered->replica);
+  EXPECT_EQ(mem.durable_size(wal_file(1)), mem.file_size(wal_file(1)));
+  EXPECT_EQ(recovered_digest(mem), state_digest(recovered->replica));
 }
 
 TEST(Recovery, DetachStopsLogging) {

@@ -1,4 +1,4 @@
-// WAL framing and writer: record round trips, fsync batching against
+// WAL framing and writer: record round trips, appends against
 // MemEnv's durable watermark, and the torn-tail property — for *every*
 // possible truncation point of a valid log, the scan recovers exactly
 // the records that were fully written, floors valid_bytes to a record
@@ -146,27 +146,24 @@ TEST(Wal, LengthLieEndsTheScan) {
   EXPECT_EQ(scan.torn_bytes, bytes.size() - lie_at);
 }
 
-TEST(Wal, WriterBatchesFsyncs) {
+TEST(Wal, WriterAppendsAndOnlySyncMakesDurable) {
   MemEnv env;
-  WalWriter writer(env, "wal", /*sync_every_records=*/3);
+  WalWriter writer(env, "wal");
   writer.reset(1);
   EXPECT_EQ(env.durable_size("wal"), kWalHeaderSize);
 
-  std::size_t durable_after_two = 0;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 5; ++i)
     writer.append(payload_of(10, static_cast<std::uint8_t>(i)));
-    if (i == 1) durable_after_two = env.durable_size("wal");
-  }
-  // Records 1-2 were appended but not yet synced...
-  EXPECT_EQ(durable_after_two, kWalHeaderSize);
-  // ...record 3 completed the batch; 4-5 are pending again.
-  EXPECT_EQ(env.durable_size("wal"),
-            kWalHeaderSize + 3 * (kWalRecordHeaderSize + 10));
-  EXPECT_EQ(writer.pending_records(), 2u);
+  // Appended records are visible but not durable...
+  EXPECT_EQ(env.file_size("wal"),
+            kWalHeaderSize + 5 * (kWalRecordHeaderSize + 10));
+  EXPECT_EQ(env.durable_size("wal"), kWalHeaderSize);
+  EXPECT_EQ(writer.syncs(), 1u);  // the header's
 
-  writer.flush();
+  // ...until the owner syncs.
+  writer.sync();
   EXPECT_EQ(env.durable_size("wal"), env.file_size("wal"));
-  EXPECT_EQ(writer.pending_records(), 0u);
+  EXPECT_EQ(writer.syncs(), 2u);
 
   // Crash now loses nothing: all five records survive.
   env.crash();
@@ -178,10 +175,10 @@ TEST(Wal, WriterBatchesFsyncs) {
 TEST(Wal, SkipFsyncLosesUnsyncedRecordsOnCrash) {
   MemEnv env;
   check::MutantEnv skip_fsync(env, check::DurabilityMutant::SkipFsync);
-  WalWriter writer(skip_fsync, "wal", 1);
+  WalWriter writer(skip_fsync, "wal");
   writer.reset(1);
   writer.append(payload_of(10, 1));
-  writer.flush();  // the bug: flush() does not actually sync
+  writer.sync();  // the bug: sync() does not reach the disk
   env.crash();
   const WalScan scan = scan_wal_file(env, "wal");
   // reset() also skipped its sync, so even the header may be gone.
@@ -190,10 +187,11 @@ TEST(Wal, SkipFsyncLosesUnsyncedRecordsOnCrash) {
 
 TEST(Wal, ResumeTruncatesTornTailAndAppendsCleanly) {
   MemEnv env;
-  WalWriter writer(env, "wal", 1);
+  WalWriter writer(env, "wal");
   writer.reset(9);
   writer.append(payload_of(12, 1));
   writer.append(payload_of(12, 2));
+  writer.sync();
 
   // A torn half-record lands after the valid prefix (mid-append crash).
   env.crash();
@@ -204,7 +202,7 @@ TEST(Wal, ResumeTruncatesTornTailAndAppendsCleanly) {
   ASSERT_EQ(scan.records.size(), 2u);
   ASSERT_EQ(scan.torn_bytes, 3u);
 
-  WalWriter resumed(env, "wal", 1);
+  WalWriter resumed(env, "wal");
   resumed.resume(scan);
   resumed.append(payload_of(12, 3));
 

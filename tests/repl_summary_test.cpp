@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "repl/filter.hpp"
 #include "util/rng.hpp"
 
@@ -17,8 +19,7 @@ namespace pfrdtn::repl {
 namespace {
 
 TEST(BloomFilter, NeverForgetsAnInsertedEvent) {
-  SummaryParams params;
-  BloomFilter filter = BloomFilter::sized_for(1000, params);
+  BloomFilter filter = BloomFilter::sized_for(1000);
   Rng rng(1);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> events;
   for (int i = 0; i < 1000; ++i) {
@@ -34,8 +35,7 @@ TEST(BloomFilter, NeverForgetsAnInsertedEvent) {
 TEST(BloomFilter, FalsePositiveRateNearTheTunedTarget) {
   // 10 bits/element with 7 hashes targets ~0.8% false positives
   // (Marandi et al.); allow generous slack for hash-quality noise.
-  SummaryParams params;
-  BloomFilter filter = BloomFilter::sized_for(1000, params);
+  BloomFilter filter = BloomFilter::sized_for(1000);
   for (std::uint64_t c = 1; c <= 1000; ++c)
     filter.insert(ReplicaId(7), c);
   std::size_t hits = 0;
@@ -50,15 +50,17 @@ TEST(BloomFilter, FalsePositiveRateNearTheTunedTarget) {
 }
 
 TEST(BloomFilter, OptimalHashCountFollowsLn2Rule) {
-  EXPECT_EQ(SummaryParams::optimal_hash_count(10), 7u);   // round(6.93)
-  EXPECT_EQ(SummaryParams::optimal_hash_count(1), 1u);    // round(.69)->1
-  EXPECT_EQ(SummaryParams::optimal_hash_count(16), 11u);  // round(11.09)
-  EXPECT_EQ(SummaryParams::optimal_hash_count(100), 32u);  // clamp high
+  // k = round(ln2 * m/n) minimizes the false-positive rate at m/n bits
+  // per element (Marandi et al.): round(6.93) = 7 at 10 bits.
+  EXPECT_EQ(kBloomHashCount,
+            std::lround(std::log(2.0) * kBloomBitsPerElement));
+  const BloomFilter filter = BloomFilter::sized_for(100);
+  EXPECT_EQ(filter.hash_count(), kBloomHashCount);
+  EXPECT_EQ(filter.bit_count(), 100u * kBloomBitsPerElement);
 }
 
 TEST(BloomFilter, CodecRoundTripsExactly) {
-  SummaryParams params;
-  BloomFilter filter = BloomFilter::sized_for(64, params);
+  BloomFilter filter = BloomFilter::sized_for(64);
   for (std::uint64_t c = 1; c <= 64; ++c)
     filter.insert(ReplicaId(c % 5 + 1), c);
   ByteWriter w;
@@ -115,6 +117,16 @@ Knowledge small_knowledge() {
   return k;
 }
 
+/// `events` scattered events: counters 2^20 apart never compact into
+/// the vector prefix, so each one stays an extra and costs several
+/// exact-codec bytes.
+Knowledge scattered_knowledge(std::uint64_t events) {
+  Knowledge k;
+  for (std::uint64_t i = 1; i <= events; ++i)
+    k.add_exact(Version{ReplicaId(7), i << 20, 1});
+  return k;
+}
+
 TEST(KnowledgeRevision, MutationsBumpAndNoOpsDoNot) {
   Knowledge k;
   const std::uint64_t fresh = k.revision();
@@ -159,32 +171,24 @@ TEST(KnowledgeDigest, EqualsIffWireBytesEqual) {
   EXPECT_NE(wa.bytes(), wb.bytes());
 }
 
-TEST(KnowledgeBloom, CachedPerRevisionAndParams) {
-  Knowledge k = small_knowledge();
-  SummaryParams params;
-  const auto first = k.bloom(params);
+TEST(KnowledgeBloom, CachedPerRevision) {
+  Knowledge k = scattered_knowledge(8);
+  const auto first = k.bloom();
   ASSERT_NE(first, nullptr);
-  // Same revision + same params: the cached filter object is reused.
-  EXPECT_EQ(k.bloom(params), first);
-  // Different params invalidate; same params re-cache. (Narrower, not
-  // wider: a wider filter would fail the smaller-than-exact-knowledge
-  // inclusion rule on this tiny corpus.)
-  SummaryParams wider = params;
-  wider.bits_per_element = 4;
-  wider.hash_count = 3;
-  const auto rebuilt = k.bloom(wider);
+  // Same revision: the cached filter object is reused.
+  EXPECT_EQ(k.bloom(), first);
+  // A mutation invalidates the cache.
+  k.add_exact(Version{ReplicaId(7), 100, 1});
+  const auto rebuilt = k.bloom();
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_NE(rebuilt, first);
-  EXPECT_NE(rebuilt->bit_count(), first->bit_count());
-  // A mutation invalidates the cache.
-  k.add_exact(Version{ReplicaId(2), 1, 1});
-  EXPECT_NE(k.bloom(wider), rebuilt);
+  EXPECT_TRUE(rebuilt->maybe_contains(ReplicaId(7), 100));
+  EXPECT_EQ(k.bloom(), rebuilt);
 }
 
 TEST(KnowledgeBloom, CoversEveryKnownEvent) {
   Knowledge k = small_knowledge();
-  SummaryParams params;
-  const auto bloom = k.bloom(params);
+  const auto bloom = k.bloom();
   ASSERT_NE(bloom, nullptr);
   std::size_t events = 0;
   k.universal().for_each_event([&](ReplicaId author, std::uint64_t c) {
@@ -197,39 +201,48 @@ TEST(KnowledgeBloom, CoversEveryKnownEvent) {
 
 TEST(Summarize, SmallKnowledgeShipsDigestPlusBloom) {
   const Knowledge k = small_knowledge();
-  SummaryParams params;
-  const KnowledgeSummary summary = summarize(k, params);
+  const KnowledgeSummary summary = summarize(k);
   EXPECT_EQ(summary.digest, k.wire_digest());
   ASSERT_TRUE(summary.bloom.has_value());
   EXPECT_LT(summary.bloom->byte_size(), k.size_bytes());
 }
 
 TEST(Summarize, InclusionRuleDropsTheBloomWhenItCannotPay) {
-  const Knowledge k = small_knowledge();
-  // Too many events for the configured ceiling.
-  SummaryParams few;
-  few.max_bloom_elements = 2;
-  EXPECT_FALSE(summarize(k, few).bloom.has_value());
-  // Filter bytes over the byte ceiling.
-  SummaryParams tiny;
-  tiny.max_bloom_bytes = 0;
-  EXPECT_FALSE(summarize(k, tiny).bloom.has_value());
-  // Filter at least as large as the exact knowledge: pointless.
-  SummaryParams fat;
-  fat.bits_per_element = 10000;
-  fat.max_bloom_bytes = 1u << 20;
-  EXPECT_FALSE(summarize(k, fat).bloom.has_value());
+  // The largest filter under the byte cap: 409 events x 10 bits fill
+  // 512 bytes, and the scattered events' exact encoding is bigger.
+  const std::uint64_t at_cap = kMaxBloomBytes * 8 / kBloomBitsPerElement;
+  const Knowledge fits = scattered_knowledge(at_cap);
+  ASSERT_GT(fits.size_bytes(), kMaxBloomBytes);
+  const KnowledgeSummary shipped = summarize(fits);
+  ASSERT_TRUE(shipped.bloom.has_value());
+  EXPECT_EQ(shipped.bloom->byte_size(), kMaxBloomBytes);
+  // One event more and the filter would exceed the byte cap, although
+  // it would still undercut the exact encoding.
+  const Knowledge over_cap = scattered_knowledge(at_cap + 1);
+  ASSERT_GT(over_cap.size_bytes(), kMaxBloomBytes + 1);
+  EXPECT_FALSE(summarize(over_cap).bloom.has_value());
+  // More events than the element cap: no filter is even built.
+  const Knowledge crowded = scattered_knowledge(kMaxBloomElements + 1);
+  EXPECT_FALSE(summarize(crowded).bloom.has_value());
+  // A filter under the byte cap that does not undercut the exact
+  // encoding: a 400-event prefix encodes in a few bytes.
+  Knowledge prefix;
+  prefix.add_authored_prefix(ReplicaId(3), 400);
+  ASSERT_EQ(prefix.event_count(), 400u);
+  ASSERT_LT(prefix.size_bytes(), BloomFilter::sized_for(400).byte_size());
+  EXPECT_FALSE(summarize(prefix).bloom.has_value());
   // The digest always ships regardless.
-  EXPECT_EQ(summarize(k, few).digest, k.wire_digest());
+  EXPECT_EQ(summarize(over_cap).digest, over_cap.wire_digest());
+  EXPECT_EQ(summarize(crowded).digest, crowded.wire_digest());
+  EXPECT_EQ(summarize(prefix).digest, prefix.wire_digest());
 }
 
 TEST(Summarize, SummaryCodecRoundTripsWithAndWithoutBloom) {
-  const Knowledge k = small_knowledge();
-  SummaryParams params;
+  Knowledge prefix;
+  prefix.add_authored_prefix(ReplicaId(3), 400);
   for (const bool with_bloom : {true, false}) {
-    SummaryParams p = params;
-    if (!with_bloom) p.max_bloom_elements = 0;
-    const KnowledgeSummary summary = summarize(k, p);
+    const KnowledgeSummary summary =
+        summarize(with_bloom ? small_knowledge() : prefix);
     ASSERT_EQ(summary.bloom.has_value(), with_bloom);
     ByteWriter w;
     summary.serialize(w);
@@ -241,9 +254,8 @@ TEST(Summarize, SummaryCodecRoundTripsWithAndWithoutBloom) {
 }
 
 TEST(Summarize, EqualKnowledgeMeansEqualSummaries) {
-  SummaryParams params;
-  const KnowledgeSummary a = summarize(small_knowledge(), params);
-  const KnowledgeSummary b = summarize(small_knowledge(), params);
+  const KnowledgeSummary a = summarize(small_knowledge());
+  const KnowledgeSummary b = summarize(small_knowledge());
   EXPECT_EQ(a, b);
 }
 

@@ -156,13 +156,13 @@ TEST(WireGolden, FramesAreByteIdentical) {
   goldens.push_back(
       {"knowledge_summary",
        digest([](ByteWriter& w) {
-         summarize(corpus_knowledge(), SummaryParams{}).serialize(w);
+         summarize(corpus_knowledge()).serialize(w);
        }),
        "eedf5d08f974572d"});
   SummaryRequestInfo summary_request;
   summary_request.target = ReplicaId(7);
   summary_request.filter = filters[2];
-  summary_request.summary = summarize(corpus_knowledge(), SummaryParams{});
+  summary_request.summary = summarize(corpus_knowledge());
   summary_request.routing_state = {1, 2, 3};
   goldens.push_back({"summary_request",
                      digest([&](ByteWriter& w) {
